@@ -3,11 +3,13 @@
 // Two claims are pinned here:
 //
 //   1. Determinism: the merged summary of a fleet sweep is *identical* —
-//      every statistic, bit for bit — to the serial sweep over the same seed
-//      list, for every worker count, on both the per-interaction tuned
-//      engine and the well-mixed batch engine.  This is the seed-partition
-//      contract of fleet_run (records merged by trial index; trial t always
-//      runs seed_gen.fork(t)) and CI fails if it breaks at any W.
+//      every statistic, bit for bit — to a serial in-process sweep
+//      (measure_election_tuned / measure_election_wellmixed on one thread)
+//      over the same seed list, for every worker count, on both the
+//      per-interaction tuned engine and the well-mixed batch engine.  This
+//      is the seed-partition contract of the supervised fleet (records
+//      merged by trial index; trial t always runs seed_gen.fork(t)) and CI
+//      fails if it breaks at any W.
 //
 //   2. Scaling: independent trials shard embarrassingly, so trials/sec
 //      should grow near-linearly with W until the host runs out of cores.
@@ -40,7 +42,7 @@
 #include "fleet/artifact.h"
 #include "fleet/net.h"
 #include "fleet/service.h"
-#include "fleet/sweep.h"
+#include "fleet/supervisor.h"
 #include "graph/generators.h"
 #include "support/parallel.h"
 
@@ -53,7 +55,7 @@ struct fleet_cell {
   int trials = 0;
   int jobs = 0;
   double seconds = 0;
-  bool equal_summary = true;  // vs the jobs = 1 sweep
+  bool equal_summary = true;  // vs the serial in-process sweep
   double trials_per_sec() const { return seconds > 0 ? trials / seconds : 0.0; }
 };
 
@@ -85,7 +87,8 @@ int run() {
     const double b = estimate_worst_case_broadcast_time(g, 10, 4, rng(11)).value;
     const fast_protocol proto(fast_params::practical(g, b));
     const tuned_runner<fast_protocol> runner(proto, g);
-    election_summary baseline;
+    const election_summary serial =
+        measure_election_tuned(runner, trials_ring, rng(7), {}, 1);
     for (const int jobs : job_counts) {
       fleet_cell c;
       c.engine = "tuned";
@@ -95,8 +98,7 @@ int run() {
       bench::stopwatch timer;
       const auto summary = measure_election_fleet(runner, trials_ring, rng(7), {}, jobs);
       c.seconds = timer.seconds();
-      if (jobs == 1) baseline = summary;
-      c.equal_summary = same_summary(summary, baseline);
+      c.equal_summary = same_summary(summary, serial);
       determinism_ok = determinism_ok && c.equal_summary;
       cells.push_back(c);
     }
@@ -107,7 +109,8 @@ int run() {
   const int trials_wm = bench::scaled(16);
   {
     const fast_protocol proto(fast_params::practical_clique(n_wm));
-    election_summary baseline;
+    const election_summary serial =
+        measure_election_wellmixed(proto, n_wm, trials_wm, rng(13), {}, 1);
     for (const int jobs : job_counts) {
       fleet_cell c;
       c.engine = "wellmixed";
@@ -118,8 +121,7 @@ int run() {
       const auto summary =
           measure_election_fleet_wellmixed(proto, n_wm, trials_wm, rng(13), {}, jobs);
       c.seconds = timer.seconds();
-      if (jobs == 1) baseline = summary;
-      c.equal_summary = same_summary(summary, baseline);
+      c.equal_summary = same_summary(summary, serial);
       determinism_ok = determinism_ok && c.equal_summary;
       cells.push_back(c);
     }
@@ -141,8 +143,7 @@ int run() {
     election_summary plain, journaled;
     for (int rep = 0; rep < 2; ++rep) {
       bench::stopwatch plain_timer;
-      plain = measure_election_fleet(runner, trials_ring, rng(7), {}, 2,
-                                     fleet::supervise_options{});
+      plain = measure_election_fleet(runner, trials_ring, rng(7), {}, 2);
       const double ps = plain_timer.seconds();
       if (rep == 0 || ps < sup_plain_s) sup_plain_s = ps;
 
@@ -200,7 +201,7 @@ int run() {
       // contract), so the fork baseline must start from the same generator
       // for the summaries to be byte-identical.
       forked = measure_election_fleet(runner, trials_ring, rng(7).fork(2), {},
-                                      2, fleet::supervise_options{});
+                                      2);
       const double fs = fork_timer.seconds();
       if (rep == 0 || fs < fork_s) fork_s = fs;
 
@@ -292,9 +293,10 @@ int run() {
 
   std::printf(
       "Reading: `eq` is the hard gate — a fleet sweep must merge to exactly\n"
-      "the serial summary at every W (seed-partition determinism).  The\n"
-      "speedup column is the horizontal-scaling story; it is enforced\n"
-      "(>= 1.7x at W=2) only on >= 2-core hosts at full scale.  Journal\n"
+      "the serial in-process summary at every W (seed-partition\n"
+      "determinism).  The speedup column (vs the W=1 fleet row) is the\n"
+      "horizontal-scaling story; it is enforced (>= 1.7x at W=2) only on\n"
+      ">= 2-core hosts at full scale.  Journal\n"
       "spooling must cost <= 5%% trials/sec (enforced at full scale), and a\n"
       "warm loopback popsimd must stay within 15%% of the fork path.\n"
       "Wrote BENCH_fleet.json.\n");

@@ -175,8 +175,7 @@ int run() {
     election_summary plain_sum, progressed_sum;
     for (int rep = 0; rep < 2; ++rep) {
       bench::stopwatch plain_timer;
-      plain_sum = measure_election_fleet(runner, sup_trials, rng(7), options,
-                                         2, fleet::supervise_options{});
+      plain_sum = measure_election_fleet(runner, sup_trials, rng(7), options, 2);
       const double s = plain_timer.seconds();
       if (rep == 0 || s < sup_plain_s) sup_plain_s = s;
 

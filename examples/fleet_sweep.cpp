@@ -7,13 +7,13 @@
 //   2. snapshot it into a sweep_artifact and save/load it — the load
 //      validates the rebuild byte-for-byte, so version-skewed workers fail
 //      loudly instead of silently diverging;
-//   3. run the same seed list serially and through fork-based workers and
-//      check the summaries match *exactly* (seed-partition determinism:
-//      trial t always runs seed_gen.fork(t), records merge by trial index);
-//   4. re-run under the supervisor with the flight recorder attached
-//      (src/obs/) — the same hookup `popsim --metrics F --trace F`
-//      automates — and write the metrics snapshot + Chrome trace timeline
-//      to disk.
+//   3. run the same seed list serially and through forked workers under
+//      the fleet supervisor, and check the summaries match *exactly*
+//      (seed-partition determinism: trial t always runs seed_gen.fork(t),
+//      records merge by trial index);
+//   4. record that supervised sweep with the flight recorder (src/obs/) —
+//      the same hookup `popsim --metrics F --trace F` automates — and write
+//      the metrics snapshot + Chrome trace timeline to disk.
 #include <cstdio>
 #include <string>
 
@@ -22,7 +22,6 @@
 #include "dynamics/epidemic.h"
 #include "fleet/artifact.h"
 #include "fleet/supervisor.h"
-#include "fleet/sweep.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -55,9 +54,21 @@ int main() {
   std::printf("artifact: %s round-tripped and validated (closed table, "
               "packed snapshot, graph)\n", path.c_str());
 
-  // Same seed list, serial vs two worker processes: identical summaries.
+  // Same seed list, serial vs two supervised worker processes, with the
+  // flight recorder attached: the trace collects the supervisor timeline
+  // (spawn/assign/record/merge spans and instants, one track per worker
+  // slot), the registry the fleet.* counters.  `popsim --metrics F --trace F
+  // --jobs W` wires exactly this — plus per-trial worker spans and engine.*
+  // probe rollups via exec-worker sidecars, which fork-mode workers don't
+  // write.
+  pp::obs::metrics_registry metrics;
+  pp::obs::trace_writer trace;
+  pp::fleet::supervise_options sup;
+  sup.metrics = &metrics;
+  sup.trace = &trace;
   const auto serial = pp::measure_election_tuned(rebuilt, trials, pp::rng(7));
-  const auto fleet = pp::measure_election_fleet(rebuilt, trials, pp::rng(7), {}, 2);
+  const auto fleet =
+      pp::measure_election_fleet(rebuilt, trials, pp::rng(7), {}, 2, sup);
   std::printf("serial: mean %.0f steps over %zu stabilized trials\n",
               serial.steps.mean, serial.steps.count);
   std::printf("fleet (2 workers): mean %.0f steps over %zu stabilized trials\n",
@@ -67,30 +78,11 @@ int main() {
                          serial.stabilized_fraction == fleet.stabilized_fraction;
   std::printf("merged summaries identical: %s\n", identical ? "yes" : "NO");
 
-  // The same sweep once more, supervised and flight-recorded: the trace
-  // collects the supervisor timeline (spawn/assign/record/merge spans and
-  // instants, one track per worker slot), the registry the fleet.*
-  // counters.  `popsim --metrics F --trace F --jobs W` wires exactly this —
-  // plus per-trial worker spans and engine.* probe rollups via exec-worker
-  // sidecars, which fork-mode workers don't write.
-  pp::obs::metrics_registry metrics;
-  pp::obs::trace_writer trace;
-  pp::fleet::supervise_options sup;
-  sup.metrics = &metrics;
-  sup.trace = &trace;
-  const auto recorded = pp::summarize_election_results(
-      pp::fleet::supervised_fleet_run(
-          trials, pp::rng(7),
-          [&](std::uint64_t, pp::rng gen) { return rebuilt.run(gen, {}); }, 2,
-          sup));
-  const bool recorded_identical = serial.steps.mean == recorded.steps.mean;
   const std::string metrics_path = "/tmp/fleet_sweep_example_metrics.json";
   const std::string trace_path = "/tmp/fleet_sweep_example_trace.json";
   const bool wrote = metrics.write_json(metrics_path) &&
                      trace.write_json(trace_path);
-  std::printf("recorded sweep: identical again: %s; %llu records received, "
-              "%llu workers spawned\n",
-              recorded_identical ? "yes" : "NO",
+  std::printf("recorded sweep: %llu records received, %llu workers spawned\n",
               static_cast<unsigned long long>(
                   metrics.counter("fleet.records_received")),
               static_cast<unsigned long long>(
@@ -100,5 +92,5 @@ int main() {
               "ui.perfetto.dev)\n", trace_path.c_str());
 
   std::remove(path.c_str());
-  return identical && recorded_identical && wrote ? 0 : 1;
+  return identical && wrote ? 0 : 1;
 }

@@ -117,12 +117,6 @@ std::vector<election_result> supervise(std::uint64_t trials, rng seed_gen,
                                        const char* what) {
   expects(jobs >= 1, std::string(what) + ": jobs must be >= 1");
   expects(options.max_retries >= 0, std::string(what) + ": max_retries must be >= 0");
-  for (const fault_spec& f : options.faults) {
-    expects(f.worker >= 0 && f.worker < jobs,
-            std::string(what) + ": fault spec names worker slot w" +
-                std::to_string(f.worker) + " beyond the " +
-                std::to_string(jobs) + "-worker fleet");
-  }
   expects(!options.resume || !options.journal_path.empty(),
           std::string(what) + ": resume needs a journal path");
 
@@ -145,44 +139,67 @@ std::vector<election_result> supervise(std::uint64_t trials, rng seed_gen,
   std::vector<std::uint8_t> received(trials, 0);
   std::uint64_t completed = 0;
 
+  const journal_header header{options.journal_tag, trials};
+  if (options.resume) {
+    const journal_replay replay = replay_journal(options.journal_path);
+    expects(replay.header == header,
+            std::string(what) + ": " + options.journal_path +
+                " belongs to a different sweep (seed/trials mismatch)");
+    for (const trial_record& r : replay.records) {
+      if (!received[r.trial]) ++completed;
+      received[r.trial] = 1;       // determinism: a re-run record is identical,
+      results[r.trial] = r.result; // so last-wins replay is safe
+    }
+    obs::logf(obs::log_level::info,
+              "journal replay: %llu record(s) replayed (%llu/%llu trial(s)), "
+              "%llu corrupt record(s) skipped, torn tail %s, from %s",
+              static_cast<unsigned long long>(replay.records.size()),
+              static_cast<unsigned long long>(completed),
+              static_cast<unsigned long long>(trials),
+              static_cast<unsigned long long>(replay.corrupt_records),
+              replay.torn_tail ? "truncated" : "none",
+              options.journal_path.c_str());
+    if (trace != nullptr) {
+      trace->instant(
+          "journal_replay", 0,
+          {obs::trace_arg::num("replayed",
+                               static_cast<std::uint64_t>(replay.records.size())),
+           obs::trace_arg::num("corrupt", replay.corrupt_records),
+           obs::trace_arg::num("torn_tail",
+                               static_cast<std::int64_t>(replay.torn_tail ? 1 : 0))});
+    }
+    if (metrics != nullptr) {
+      metrics->add("fleet.journal_replayed",
+                   static_cast<std::uint64_t>(replay.records.size()));
+      metrics->add("fleet.journal_corrupt_skipped", replay.corrupt_records);
+      if (replay.torn_tail) metrics->add("fleet.journal_torn_tails");
+    }
+  }
+
+  // Slots launch only while chunks remain, so a sweep with fewer pending
+  // chunks than jobs runs fewer slots; a fault spec naming a slot that never
+  // launches would never fire, so it is rejected up front.
+  std::deque<trial_range> queue = chunk_pending(received, trials, jobs);
+  const int nslots = static_cast<int>(
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(jobs), queue.size()));
+  for (const fault_spec& f : options.faults) {
+    expects(f.worker >= 0 && f.worker < nslots,
+            std::string(what) + ": fault spec names worker slot w" +
+                std::to_string(f.worker) + ", but only " +
+                std::to_string(nslots) + " of " + std::to_string(jobs) +
+                " slot(s) launch for " + std::to_string(queue.size()) +
+                " pending chunk(s); it would never fire");
+  }
+  if (!queue.empty()) {
+    obs::logf(obs::log_level::info,
+              "%s: %d worker slot(s) for %llu pending trial(s) in %zu chunk(s)",
+              what, nslots,
+              static_cast<unsigned long long>(trials - completed),
+              queue.size());
+  }
+
   std::optional<journal_writer> journal;
   if (!options.journal_path.empty()) {
-    const journal_header header{options.journal_tag, trials};
-    if (options.resume) {
-      const journal_replay replay = replay_journal(options.journal_path);
-      expects(replay.header == header,
-              std::string(what) + ": " + options.journal_path +
-                  " belongs to a different sweep (seed/trials mismatch)");
-      for (const trial_record& r : replay.records) {
-        if (!received[r.trial]) ++completed;
-        received[r.trial] = 1;       // determinism: a re-run record is identical,
-        results[r.trial] = r.result; // so last-wins replay is safe
-      }
-      obs::logf(obs::log_level::info,
-                "journal replay: %llu record(s) replayed (%llu/%llu trial(s)), "
-                "%llu corrupt record(s) skipped, torn tail %s, from %s",
-                static_cast<unsigned long long>(replay.records.size()),
-                static_cast<unsigned long long>(completed),
-                static_cast<unsigned long long>(trials),
-                static_cast<unsigned long long>(replay.corrupt_records),
-                replay.torn_tail ? "truncated" : "none",
-                options.journal_path.c_str());
-      if (trace != nullptr) {
-        trace->instant(
-            "journal_replay", 0,
-            {obs::trace_arg::num("replayed",
-                                 static_cast<std::uint64_t>(replay.records.size())),
-             obs::trace_arg::num("corrupt", replay.corrupt_records),
-             obs::trace_arg::num("torn_tail",
-                                 static_cast<std::int64_t>(replay.torn_tail ? 1 : 0))});
-      }
-      if (metrics != nullptr) {
-        metrics->add("fleet.journal_replayed",
-                     static_cast<std::uint64_t>(replay.records.size()));
-        metrics->add("fleet.journal_corrupt_skipped", replay.corrupt_records);
-        if (replay.torn_tail) metrics->add("fleet.journal_torn_tails");
-      }
-    }
     journal.emplace(options.journal_path, header, options.resume);
   }
 
@@ -200,9 +217,6 @@ std::vector<election_result> supervise(std::uint64_t trials, rng seed_gen,
     if (metrics != nullptr) metrics->add("fleet.records_received");
   };
 
-  std::deque<trial_range> queue = chunk_pending(received, trials, jobs);
-  const int nslots = static_cast<int>(
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(jobs), queue.size()));
   std::vector<slot_state> slots(static_cast<std::size_t>(nslots));
   slot_reaper reaper{&slots};
   int retries_used = 0;
@@ -257,7 +271,7 @@ std::vector<election_result> supervise(std::uint64_t trials, rng seed_gen,
     slot_state& s = slots[static_cast<std::size_t>(i)];
     const bool inject = !s.ever_launched && !options.faults.empty();
     const bool respawn = s.waiting;  // a backoff just elapsed for this slot
-    const child_guard::child c = launch(i, chunk, inject, open_read_fds());
+    const worker_stream c = launch(i, chunk, inject, open_read_fds());
     if (trace != nullptr) {
       trace->instant(respawn ? "worker_respawn" : "worker_spawn", 0,
                      {obs::trace_arg::num("slot", static_cast<std::int64_t>(i)),
@@ -678,7 +692,7 @@ std::vector<election_result> supervised_fleet_run(
       ::_exit(status);
     }
     ::close(fds[1]);
-    return child_guard::child{pid, fds[0]};
+    return detail::worker_stream{pid, fds[0]};
   };
   return detail::supervise(trials, seed_gen, jobs, options, launch, fn,
                            "supervised_fleet_run");
@@ -754,10 +768,10 @@ std::vector<election_result> supervised_spawn_sweep(
       ::_exit(127);
     }
     ::close(fds[1]);
-    return child_guard::child{pid, fds[0]};
+    return detail::worker_stream{pid, fds[0]};
   };
   // Trial t of the sweep uses rng(seed).fork(2).fork(t), exactly the serial
-  // derivation (sweep.h) — needed here for the inline degraded path.
+  // derivation (worker_manifest) — needed here for the inline degraded path.
   const rng seed_gen = rng(manifest.seed).fork(2);
   std::vector<election_result> results =
       detail::supervise(manifest.trials, seed_gen, manifest.jobs, options,

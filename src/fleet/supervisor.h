@@ -1,6 +1,6 @@
-// Fault-tolerant fleet sweep supervisor: replaces the blocking drain loop of
-// sweep.h's fleet_run/spawn_worker_sweep with a poll()-multiplexed event
-// loop that survives worker crashes instead of aborting the sweep.
+// Fault-tolerant fleet sweep supervisor: the one sweep executor.  A
+// poll()-multiplexed event loop deals trial chunks to worker processes (or
+// sockets, net.h) and survives worker crashes instead of aborting the sweep.
 //
 // Supervision state machine, per worker slot:
 //
@@ -22,6 +22,8 @@
 // .ppaj journal (journal.h) as it streams in; `resume` replays the journal
 // first and the supervisor runs only the gap.
 #pragma once
+
+#include <sys/types.h>
 
 #include <cstdint>
 #include <functional>
@@ -82,12 +84,15 @@ struct supervise_options {
   std::function<std::vector<int>()> health_tick;
 };
 
-// Fork-mode supervised sweep: as fleet_run, but workers that die (crash,
-// nonzero exit, torn record, hang past the timeout) are killed and respawned
-// with their incomplete trials, degrading to inline serial execution of the
-// remainder once the retry budget is spent.  Returns the per-trial results
-// indexed by trial; throws only on unrecoverable errors (journal mismatch,
-// fault spec naming a slot beyond `jobs`).
+// Fork-mode supervised sweep: runs `trials` trials across up to `jobs`
+// forked worker processes, which inherit the prepared runner copy-on-write
+// and start instantly.  Trial t runs fn(t, seed_gen.fork(t)) wherever it
+// lands.  Workers that die (crash, nonzero exit, torn record, hang past the
+// timeout) are killed and respawned with their incomplete trials, degrading
+// to inline serial execution of the remainder once the retry budget is
+// spent.  Returns the per-trial results indexed by trial; throws only on
+// unrecoverable errors (journal mismatch, fault spec naming a slot the sweep
+// never launches — slots number min(jobs, pending chunks)).
 std::vector<election_result> supervised_fleet_run(std::uint64_t trials,
                                                   rng seed_gen,
                                                   const trial_fn& fn, int jobs,
@@ -113,13 +118,20 @@ void run_trial_block(trial_range range, int fd, const trial_fn& fn,
 
 namespace detail {
 
+// A launched worker's record stream: the child process (pid -1 when the
+// stream is a socket to a remote worker, net.h) and the fd to read from.
+struct worker_stream {
+  pid_t pid = -1;
+  int read_fd = -1;
+};
+
 // Launches one worker for `chunk` in slot `slot`; `inject` asks for fault
 // injection (first-generation workers only).  `open_fds` are the parent's
 // currently open record fds, which a forked child must close.  A launcher
 // may return pid == -1 when the record stream is not a child process (a
 // socket to a remote worker, net.h); returning read_fd < 0 reports a failed
 // launch, which consumes a retry like any other slot failure.
-using launch_fn = std::function<child_guard::child(
+using launch_fn = std::function<worker_stream(
     int slot, trial_range chunk, bool inject, const std::vector<int>& open_fds)>;
 
 // The shared supervision core behind supervised_fleet_run,

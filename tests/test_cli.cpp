@@ -93,8 +93,9 @@ TEST(CliExitCodes, InvalidInvocationsExitNonzero) {
       "--trials 5",                              // flag mode without artifact
       "--load-artifact /dev/null",               // not a PPAF file
       "--worker",                                // missing manifest + index
-      "--worker /nonexistent/manifest 0",        // unreadable manifest
-      "--worker /dev/null 0",                    // not a manifest
+      "--worker /nonexistent/manifest 0 0 1",    // unreadable manifest
+      "--worker /dev/null 0 0 1",                // not a manifest
+      "--worker /dev/null 0",                    // no trial range
       "--worker /dev/null 0 1",                  // base without count
       "clique 100 fast --journal",               // flag missing its value
       "clique 100 fast --resume",                // --resume without --journal
@@ -246,6 +247,24 @@ TEST(CliFleet, StarArtifactSweepStdoutIsIdenticalSerialVsJobs) {
   EXPECT_EQ(bytes_a, bytes_b);
   std::remove(artifact.c_str());
   std::remove(resaved.c_str());
+}
+
+// A fault spec must name a slot the sweep actually launches.  Slots only
+// start while trial chunks remain, so 2 trials on --jobs 4 run slots w0 and
+// w1: a spec for w3 would never fire, and popsim must say so and fail
+// instead of printing a fault-free run as if the fault had been exercised.
+TEST(CliFleet, FaultSpecOnAnUnlaunchedSlotIsRejected) {
+  const cli_result r = run_cli_stderr(
+      "cycle 200 fast --trials 2 --jobs 4 --inject-fault exit:w3");
+  EXPECT_GT(r.code, 0);
+  EXPECT_NE(r.out.find("fault spec names worker slot w3"), std::string::npos)
+      << "stderr was: " << r.out;
+  EXPECT_NE(r.out.find("would never fire"), std::string::npos)
+      << "stderr was: " << r.out;
+  // With enough trials for four chunks the same spec fires and recovers.
+  EXPECT_EQ(run_cli("cycle 200 fast --trials 4 --jobs 4 --inject-fault exit:w3")
+                .code,
+            0);
 }
 
 // The CLI half of the crash-recovery gate: a sweep with an injected worker

@@ -1,5 +1,5 @@
-// Fleet sweep driver (src/fleet/sweep.h): seed-partition determinism —
-// a fleet sweep's merged results are byte-identical to the serial sweep —
+// Fleet sweeps (src/fleet/): seed-partition determinism — a supervised
+// fleet sweep's merged results are byte-identical to the serial sweep —
 // plus the record/manifest protocol, worker-failure propagation, and the
 // crash-recovery matrix of the supervisor (fault injection, journaled
 // resume, retry-budget degradation).
@@ -22,6 +22,7 @@
 #include "fleet/journal.h"
 #include "fleet/supervisor.h"
 #include "fleet/sweep.h"
+#include "fleet/wire.h"
 #include "graph/generators.h"
 
 namespace pp::fleet {
@@ -40,23 +41,38 @@ void expect_same_summary(const election_summary& a, const election_summary& b) {
   EXPECT_EQ(a.steps.max, b.steps.max);
 }
 
-TEST(WorkerRange, PartitionsTrialsContiguouslyAndCompletely) {
-  for (const std::uint64_t trials : {0ull, 1ull, 7ull, 24ull, 100ull}) {
-    for (const int jobs : {1, 2, 3, 4, 7, 13}) {
-      std::uint64_t expected_base = 0;
-      for (int w = 0; w < jobs; ++w) {
-        const trial_range r = worker_range(trials, jobs, w);
-        EXPECT_EQ(r.base, expected_base) << trials << " trials, worker " << w;
-        expected_base += r.count;
-        // Blocks differ in size by at most one trial.
-        EXPECT_LE(r.count, trials / jobs + 1);
-      }
-      EXPECT_EQ(expected_base, trials);  // disjoint cover of [0, trials)
-    }
+// The serial baseline every fleet sweep must reproduce: trial t runs
+// fn(t, seed_gen.fork(t)) in this process, in order.
+std::vector<election_result> serial_sweep(std::uint64_t trials,
+                                          const rng& seed_gen,
+                                          const trial_fn& fn) {
+  std::vector<election_result> results(trials);
+  for (std::uint64_t t = 0; t < trials; ++t) results[t] = fn(t, seed_gen.fork(t));
+  return results;
+}
+
+// Every byte written to a pipe whose write end is already closed.
+std::vector<std::uint8_t> read_pipe(int fd) {
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t buf[256];
+  ssize_t n = 0;
+  while ((n = read(fd, buf, sizeof(buf))) > 0) bytes.insert(bytes.end(), buf, buf + n);
+  return bytes;
+}
+
+// Parses one trial-record frame the way the supervisor does (wire.h checked
+// frame, then the record codec) at `off`, advancing it past the frame.
+wire::decode_status decode_record_at(const std::vector<std::uint8_t>& bytes,
+                                     std::size_t& off, trial_record& out) {
+  wire::frame_view frame;
+  const wire::decode_status status =
+      wire::decode_frame(bytes.data() + off, bytes.size() - off,
+                         {kTrialRecordPayload, kTrialRecordPayload}, frame);
+  if (status == wire::decode_status::ok) {
+    out = decode_trial_record(frame.payload);
+    off += frame.frame_bytes;
   }
-  EXPECT_THROW(worker_range(10, 0, 0), std::invalid_argument);
-  EXPECT_THROW(worker_range(10, 4, 4), std::invalid_argument);
-  EXPECT_THROW(worker_range(10, 4, -1), std::invalid_argument);
+  return status;
 }
 
 TEST(Records, RoundTripThroughAPipe) {
@@ -74,19 +90,21 @@ TEST(Records, RoundTripThroughAPipe) {
   empty.result = {};
   write_trial_record(fds[1], empty);
   close(fds[1]);
+  const std::vector<std::uint8_t> bytes = read_pipe(fds[0]);
+  close(fds[0]);
 
+  std::size_t off = 0;
   trial_record in;
-  ASSERT_TRUE(read_trial_record(fds[0], in));
+  ASSERT_EQ(decode_record_at(bytes, off, in), wire::decode_status::ok);
   EXPECT_EQ(in.trial, out.trial);
   EXPECT_EQ(in.result.stabilized, out.result.stabilized);
   EXPECT_EQ(in.result.steps, out.result.steps);
   EXPECT_EQ(in.result.leader, out.result.leader);
   EXPECT_EQ(in.result.distinct_states_used, out.result.distinct_states_used);
-  ASSERT_TRUE(read_trial_record(fds[0], in));
+  ASSERT_EQ(decode_record_at(bytes, off, in), wire::decode_status::ok);
   EXPECT_EQ(in.trial, 3u);
   EXPECT_FALSE(in.result.stabilized);
-  EXPECT_FALSE(read_trial_record(fds[0], in));  // clean EOF
-  close(fds[0]);
+  EXPECT_EQ(off, bytes.size());  // two whole frames, nothing trailing
 }
 
 TEST(Records, TornRecordIsRejected) {
@@ -99,9 +117,14 @@ TEST(Records, TornRecordIsRejected) {
   ASSERT_EQ(write(fds[1], half, sizeof(half)),
             static_cast<ssize_t>(sizeof(half)));
   close(fds[1]);
-  trial_record r;
-  EXPECT_THROW(read_trial_record(fds[0], r), std::logic_error);
+  const std::vector<std::uint8_t> bytes = read_pipe(fds[0]);
   close(fds[0]);
+  // The stream ends mid-frame: the supervisor never gets a whole record out
+  // of it, and the slot's EOF with a non-empty buffer fails the worker.
+  std::size_t off = 0;
+  trial_record r;
+  EXPECT_EQ(decode_record_at(bytes, off, r), wire::decode_status::need_more);
+  EXPECT_EQ(off, 0u);
 }
 
 // The core determinism contract on the per-interaction tuned engine: for
@@ -149,8 +172,8 @@ TEST(FleetRun, MergesPerTrialResultsByIndex) {
   const rng seed_gen = rng(11).fork(2);
   const trial_fn fn = [&](std::uint64_t, rng gen) { return runner.run(gen); };
 
-  const auto serial = fleet_run(12, seed_gen, fn, 1);
-  const auto fleet = fleet_run(12, seed_gen, fn, 5);
+  const auto serial = serial_sweep(12, seed_gen, fn);
+  const auto fleet = supervised_fleet_run(12, seed_gen, fn, 5, {});
   ASSERT_EQ(serial.size(), fleet.size());
   for (std::size_t t = 0; t < serial.size(); ++t) {
     EXPECT_EQ(serial[t].steps, fleet[t].steps) << "trial " << t;
@@ -181,11 +204,21 @@ TEST(FleetRun, WellmixedSweepIsByteIdenticalToSerial) {
 }
 
 TEST(FleetRun, WorkerFailurePropagates) {
+  // The failing trial kills every worker that runs it; once the retry budget
+  // is spent the supervisor runs it inline, where the trial's own error
+  // surfaces to the caller.
   const trial_fn fn = [](std::uint64_t t, rng) -> election_result {
     if (t >= 2) throw std::runtime_error("injected trial failure");
     return {};
   };
-  EXPECT_THROW(fleet_run(4, rng(1), fn, 2), std::logic_error);
+  try {
+    supervised_fleet_run(4, rng(1), fn, 2, {});
+    ADD_FAILURE() << "a failing trial must fail the sweep";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("injected trial failure"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FleetRun, MoreJobsThanTrialsIsCapped) {
@@ -195,7 +228,7 @@ TEST(FleetRun, MoreJobsThanTrialsIsCapped) {
     r.steps = t;
     return r;
   };
-  const auto results = fleet_run(3, rng(1), fn, 8);
+  const auto results = supervised_fleet_run(3, rng(1), fn, 8, {});
   ASSERT_EQ(results.size(), 3u);
   for (std::uint64_t t = 0; t < 3; ++t) EXPECT_EQ(results[t].steps, t);
 }
@@ -458,7 +491,7 @@ void expect_same_results(const std::vector<election_result>& a,
 
 TEST(Supervisor, CleanSweepMatchesSerial) {
   const rng seed_gen = rng(31).fork(2);
-  const auto serial = fleet_run(17, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(17, seed_gen, synthetic_trial);
   const auto supervised =
       supervised_fleet_run(17, seed_gen, synthetic_trial, 3, {});
   expect_same_results(serial, supervised);
@@ -466,7 +499,7 @@ TEST(Supervisor, CleanSweepMatchesSerial) {
 
 TEST(Supervisor, RecoversFromEveryFaultKindByteIdentically) {
   const rng seed_gen = rng(33).fork(2);
-  const auto serial = fleet_run(17, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(17, seed_gen, synthetic_trial);
 
   // drop and garbage are socket-first faults (fleet/net.h) but must recover
   // on pipes too: drop degrades to an early EOF, garbage to a checksum-
@@ -494,7 +527,7 @@ TEST(Supervisor, RecoversFromEveryFaultKindByteIdentically) {
 TEST(Supervisor, JournalsEveryTrialAndResumeSkipsCompletedOnes) {
   const rng seed_gen = rng(35).fork(2);
   const std::uint64_t trials = 15;
-  const auto serial = fleet_run(trials, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(trials, seed_gen, synthetic_trial);
   const std::string path = testing::TempDir() + "/supervisor_resume.ppaj";
 
   // Journal only the first 9 trials, as if the sweep was killed there.
@@ -532,7 +565,7 @@ TEST(Supervisor, JournalsEveryTrialAndResumeSkipsCompletedOnes) {
 TEST(Supervisor, CorruptedJournalRecordReRunsThatTrial) {
   const rng seed_gen = rng(37).fork(2);
   const std::uint64_t trials = 12;
-  const auto serial = fleet_run(trials, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(trials, seed_gen, synthetic_trial);
   const std::string path = testing::TempDir() + "/supervisor_rot.ppaj";
   {
     journal_writer writer(path, journal_header{37, trials}, /*resume=*/false);
@@ -553,7 +586,7 @@ TEST(Supervisor, CorruptedJournalRecordReRunsThatTrial) {
 
 TEST(Supervisor, ExhaustedRetryBudgetDegradesToInlineAndCompletes) {
   const rng seed_gen = rng(39).fork(2);
-  const auto serial = fleet_run(14, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(14, seed_gen, synthetic_trial);
   supervise_options options;
   options.max_retries = 0;  // the first failure exhausts the budget
   options.faults = {{fault_kind::sigkill, 0, 1}};
@@ -566,7 +599,7 @@ TEST(Supervisor, RespawnedWorkersRunCleanSoOneSpecIsOneFailure) {
   // With a nonzero retry budget and a fault on every slot, every slot fails
   // once, respawns clean, and the sweep still completes without degrading.
   const rng seed_gen = rng(41).fork(2);
-  const auto serial = fleet_run(13, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(13, seed_gen, synthetic_trial);
   supervise_options options;
   options.max_retries = 2;
   options.faults = {{fault_kind::exit, 0, 0}, {fault_kind::sigkill, 1, 2}};
@@ -580,6 +613,12 @@ TEST(Supervisor, InvalidOptionsAreRejected) {
   supervise_options beyond;
   beyond.faults = {{fault_kind::exit, 5, 0}};
   EXPECT_THROW(supervised_fleet_run(4, rng(1), synthetic_trial, 2, beyond),
+               std::invalid_argument);
+  // So would one naming a slot the sweep never launches: 2 trials deal out
+  // as 2 chunks, so only slots w0 and w1 of a 4-job fleet ever start.
+  supervise_options unlaunched;
+  unlaunched.faults = {{fault_kind::exit, 3, 0}};
+  EXPECT_THROW(supervised_fleet_run(2, rng(1), synthetic_trial, 4, unlaunched),
                std::invalid_argument);
   // Resume without a journal path has nothing to replay.
   supervise_options no_path;
@@ -622,10 +661,10 @@ TEST(SpawnWorkers, CliWorkersMatchSerialSweep) {
   const std::string manifest_path = testing::TempDir() + "/fleet_sweep.manifest";
   write_manifest(m, manifest_path);
 
-  const auto fleet = spawn_worker_sweep(PP_POPSIM_CLI, manifest_path, m);
-  const auto serial = fleet_run(
-      m.trials, rng(m.seed).fork(2),
-      [&](std::uint64_t, rng gen) { return runner.run(gen); }, 1);
+  const auto fleet = supervised_spawn_sweep(PP_POPSIM_CLI, manifest_path, m, {});
+  const auto serial =
+      serial_sweep(m.trials, rng(m.seed).fork(2),
+                   [&](std::uint64_t, rng gen) { return runner.run(gen); });
   ASSERT_EQ(fleet.size(), serial.size());
   for (std::size_t t = 0; t < serial.size(); ++t) {
     EXPECT_EQ(serial[t].steps, fleet[t].steps) << "trial " << t;
@@ -661,20 +700,23 @@ TEST(SpawnWorkers, SupervisedCliWorkersRecoverFromSigkill) {
   options.faults = {{fault_kind::sigkill, 1, 1}};
   const auto fleet =
       supervised_spawn_sweep(PP_POPSIM_CLI, manifest_path, m, options);
-  const auto serial = fleet_run(
-      m.trials, rng(m.seed).fork(2),
-      [&](std::uint64_t, rng gen) { return runner.run(gen); }, 1);
+  const auto serial =
+      serial_sweep(m.trials, rng(m.seed).fork(2),
+                   [&](std::uint64_t, rng gen) { return runner.run(gen); });
   expect_same_results(serial, fleet);
   std::remove(artifact_path.c_str());
   std::remove(manifest_path.c_str());
 }
 
 TEST(SpawnWorkers, MissingWorkerBinaryFailsLoudly) {
+  // Every exec fails, so the retry budget runs out; with no inline fallback
+  // the sweep must throw rather than return partial results.
   worker_manifest m;
   m.artifact_path = "/nonexistent.ppaf";
   m.trials = 2;
   m.jobs = 1;
-  EXPECT_THROW(spawn_worker_sweep("/nonexistent/popsim", "/nonexistent/manifest", m),
+  EXPECT_THROW(supervised_spawn_sweep("/nonexistent/popsim",
+                                      "/nonexistent/manifest", m, {}),
                std::logic_error);
 }
 
