@@ -134,6 +134,27 @@ constexpr int edge_classes_of() {
   }
 }
 
+// One compiled transition at state-id width W: the two successor ids plus the
+// census change of applying the transition,
+//   contribution(a2) + contribution(b2) - contribution(a) - contribution(b).
+// packed_entry<std::uint32_t> is compiled_protocol's own 12-byte entry; the
+// narrower widths are snapshots of a closed table (packed_table below), and
+// the u8 specialization re-encodes the delta as nibbles.
+template <typename W>
+struct packed_entry {
+  W a2 = 0;
+  W b2 = 0;
+  std::array<std::int8_t, kMaxCensusCounters> delta{};
+
+  bool delta_nonzero() const {
+    std::uint32_t bits;
+    static_assert(sizeof(bits) == sizeof(delta));
+    std::memcpy(&bits, delta.data(), sizeof(bits));
+    return bits != 0;
+  }
+  std::int64_t delta_of(int c) const { return delta[static_cast<std::size_t>(c)]; }
+};
+
 template <compilable_protocol P>
 class compiled_protocol {
  public:
@@ -144,16 +165,11 @@ class compiled_protocol {
   static_assert(kCounters >= 1 && kCounters <= kMaxCensusCounters);
   static_assert(edge_classes_of<P>() <= kMaxEdgeClasses);
 
-  // One compiled transition.  `a2` doubles as the fill sentinel: a real entry
-  // can never map the initiator to kNotCompiled.
-  struct entry {
-    state_id a2 = kNotCompiled;
-    state_id b2 = 0;
-    // Census change of applying the transition:
-    //   contribution(a2) + contribution(b2) - contribution(a) - contribution(b).
-    std::array<std::int8_t, kMaxCensusCounters> delta{};
-  };
+  using entry = packed_entry<state_id>;
   static_assert(sizeof(entry) == 12);
+  // The fill value of uncompiled table slots: a real entry can never map the
+  // initiator to kNotCompiled.
+  static constexpr entry kUnfilled{kNotCompiled, 0, {}};
 
   // Borrows `proto`, which must outlive the compiled table.
   explicit compiled_protocol(const P& proto) : proto_(&proto) {}
@@ -313,7 +329,7 @@ class compiled_protocol {
   // Doubles the id capacity and re-lays the flat table out at the new pitch.
   void grow() {
     const std::size_t new_cap = cap_ == 0 ? 64 : cap_ * 2;
-    std::vector<entry> new_table(new_cap * new_cap);
+    std::vector<entry> new_table(new_cap * new_cap, kUnfilled);
     const std::size_t old = std::min(states_.size() - 1, cap_);
     for (std::size_t a = 0; a < old; ++a) {
       for (std::size_t b = 0; b < old; ++b) {
@@ -344,28 +360,10 @@ class compiled_protocol {
 // otherwise.  The per-step table load shrinks with the ids — 4 bytes (u8,
 // census delta re-encoded as four signed nibbles), 8 bytes (u16) or the
 // original 12 (u32) — and, more importantly, so does the n-word config array
-// the engine's two random touches per step land in.  packed_entry<W> mirrors
-// compiled_protocol::entry's semantics exactly: delta_nonzero() is false iff
-// the wide entry's delta word is all-zero, and delta_of(c) returns the same
-// int8 value, so a packed run declares stability on the same step as the
-// wide run (the bit-identity the engine tests pin).
-
-// Primary template: W-wide ids + the wide entry's int8 delta array (8 bytes
-// at u16, 12 at u32).  The u8 specialization below compresses further.
-template <typename W>
-struct packed_entry {
-  W a2 = 0;
-  W b2 = 0;
-  std::array<std::int8_t, kMaxCensusCounters> delta{};
-
-  bool delta_nonzero() const {
-    std::uint32_t bits;
-    static_assert(sizeof(bits) == sizeof(delta));
-    std::memcpy(&bits, delta.data(), sizeof(bits));
-    return bits != 0;
-  }
-  std::int64_t delta_of(int c) const { return delta[static_cast<std::size_t>(c)]; }
-};
+// the engine's two random touches per step land in.  Every width answers
+// delta_nonzero() and delta_of(c) exactly as the u32 entry does, so a packed
+// run declares stability on the same step as the wide run (the bit-identity
+// the engine tests pin).
 
 template <>
 struct packed_entry<std::uint8_t> {
@@ -373,7 +371,7 @@ struct packed_entry<std::uint8_t> {
   std::uint8_t b2 = 0;
   // Census delta as four signed nibbles (counter c occupies bits [4c, 4c+4)).
   // A zero word means "no census change" — the same test as the wide entry's
-  // delta_bits != 0, because a nibble encodes 0 iff the delta is 0.  Nibble
+  // delta_nonzero(), because a nibble encodes 0 iff the delta is 0.  Nibble
   // range is checked at pack time via deltas_fit_nibble().
   std::uint16_t delta = 0;
 

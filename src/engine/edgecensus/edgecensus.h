@@ -4,7 +4,7 @@
 // state counts (census_traits); star-style protocols additionally count edge
 // *classes* — how many edges currently join two undecided nodes — which
 // depends on node identity, not state multiplicities.  This header supplies
-// the pieces the engine fuses into its hot loops for such protocols
+// the pieces the engine fuses into its step loop for such protocols
 // (edge_census_protocol<P>, compiled_protocol.h):
 //
 //   * class_pair_index(a, b)   — flat index of the unordered class pair
@@ -18,12 +18,12 @@
 //                                packed_endpoints), built once per
 //                                tuned_runner and shared across trials;
 //   * graph_rows               — the same row interface over a plain graph,
-//                                for the lazy u32 path and the tests.
+//                                for the lazy layout and the tests.
 //
 // Cost model: a scheduler step whose transition changes no state (the
 // overwhelming majority once a star-style protocol has settled) pays nothing
-// — the zero-delta fast path of run_compiled/run_packed covers the edge
-// census too.  A step that flips a node's class pays O(deg(v)) counter
+// — the zero-delta fast path of the step loop (detail::step_loop, behind
+// run_compiled and run_packed) covers the edge census too.  A step that flips a node's class pays O(deg(v)) counter
 // updates; on bounded-degree families that is O(1), and every node flips at
 // most (kClasses - 1) times over a run of monotone protocols like
 // star_protocol, so the total maintenance cost is O(Σ deg) = O(m) per run.
@@ -85,7 +85,7 @@ struct packed_csr {
 };
 
 // Adjacency-row view over a plain graph — the same `row(v)` interface as
-// packed_csr, for contexts (lazy u32 engine, property tests) that already
+// packed_csr, for contexts (the lazy layout, property tests) that already
 // hold the graph and need no extra arrays.
 struct graph_rows {
   const graph* g = nullptr;

@@ -6,10 +6,10 @@
 // census — tested step-for-step in tests/test_engine.cpp) but executes each
 // scheduler step as:
 //   * one buffered Lemire draw in [0, 2m) (block_rng — no call, no modulo);
-//   * two loads from the doubled endpoint arrays (orientation is part of the
-//     index, so there is no flip branch);
-//   * one 12-byte compiled-table load and two config stores;
-//   * four integer adds onto the census totals and the stability predicate,
+//   * one endpoint-pair load, prefetched a batch-lag ahead together with the
+//     two config words it names;
+//   * one compiled-table load and two config stores;
+//   * a few integer adds onto the census totals and the stability predicate,
 //     both skipped entirely on zero-delta steps (the predicate cannot flip
 //     when the totals do not move).
 // The reference path instead pays two non-inlined calls (scheduler + rng), a
@@ -17,23 +17,27 @@
 // per step; bench/engine.cpp measures the resulting speedup (≥5× on the
 // fast protocol across clique / ring / dense-random graphs).
 //
-// On top of that lazy u32 path, `run_packed` + `tuned_runner` rebuild the hot
-// loop's data layout around cache locality (bench/locality.cpp measures the
-// effect; src/engine/README.md documents the layout):
-//   * config words packed to the narrowest width holding |Λ| (u8/u16/u32),
-//     with correspondingly packed 4/8/12-byte table entries (packed_table);
-//   * a single-orientation endpoint array (half the memory of the doubled
-//     one; the draw's orientation bit becomes two conditional moves);
-//   * a two-level software-prefetch pipeline: endpoint pairs a batch-lag
-//     ahead, then the two config words of each upcoming pair;
-//   * optional BFS/RCM vertex reordering (graph/reorder.h) so the two config
+// There is one step loop (detail::step_loop) over one per-run election state
+// (detail::election_run); run_compiled and run_packed differ only in the
+// layout they hand it (src/engine/README.md documents both):
+//   * run_compiled — the lazy layout: u32 config words, a lazily filled
+//     compiled_protocol table and the doubled edge_endpoints array (the
+//     draw's orientation is part of the index);
+//   * run_packed (+ tuned_runner) — the packed layout, built around cache
+//     locality (bench/locality.cpp measures the effect): config words packed
+//     to the narrowest width holding |Λ| (u8/u16/u32) with correspondingly
+//     packed 4/8/12-byte entries of a closed packed_table, and a
+//     single-orientation endpoint array (half the memory of the doubled one;
+//     the draw's orientation bit becomes two conditional moves), optionally
+//     under BFS/RCM vertex reordering (graph/reorder.h) so the two config
 //     touches of mesh-like families land on nearby cache lines.
 // At equal (seed, graph, natural order) a packed run is bit-identical to
 // run_compiled at every width — tests/test_engine_packed.cpp pins u8/u16/u32
 // against the reference.  Reordered runs execute the identical process on an
 // isomorphic graph (initial states and the reported leader ride the
 // permutation), so they agree statistically — the wellmixed 3σ contract —
-// but not per seed.
+// but not per seed.  The silent scheduler (silent/silent.h) drives the same
+// election state with its own event-driven choice of the next interaction.
 #pragma once
 
 #include <array>
@@ -42,6 +46,8 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -72,39 +78,16 @@ struct edge_endpoints {
 };
 
 // Smallest-id node with leader output in `config` — original ids when
-// `old_of_new` is given (reordered runs), run-graph ids otherwise.  Shared by
-// run_compiled and run_packed so the two epilogues cannot drift apart and
-// silently break their bit-identity contract.
-template <typename W, typename OutputFn>
-node_id elected_leader(const std::vector<W>& config, OutputFn&& output,
-                       const std::vector<node_id>* old_of_new) {
-  const auto n = static_cast<node_id>(config.size());
-  if (old_of_new == nullptr) {
-    for (node_id v = 0; v < n; ++v) {
-      if (output(config[static_cast<std::size_t>(v)]) == role::leader) return v;
-    }
-    return -1;
-  }
-  node_id leader = -1;
-  for (node_id v = 0; v < n; ++v) {
-    if (output(config[static_cast<std::size_t>(v)]) == role::leader) {
-      const node_id original = (*old_of_new)[static_cast<std::size_t>(v)];
-      if (leader < 0 || original < leader) leader = original;
-    }
-  }
-  return leader;
-}
-
-// elected_leader through the compiled role table, with a SIMD shortcut: at
-// u8 word width with exactly one leader-role state id the scan is a memchr
-// for that byte — first occurrence == smallest node id with leader output,
-// so the result is identical to the generic loop.  This matters for
+// `old_of_new` is given (reordered runs), run-graph ids otherwise.  At u8
+// word width with exactly one leader-role state id and no map, the scan is a
+// memchr for that byte — first occurrence == smallest node id with leader
+// output, so the result is identical to the generic loop.  This matters for
 // one-interaction elections (star graphs), where the O(n) epilogue scan,
 // not the run, dominates a trial.
 template <typename W, compilable_protocol P>
-node_id elected_leader_compiled(const std::vector<W>& config,
-                                const compiled_protocol<P>& compiled,
-                                const std::vector<node_id>* old_of_new) {
+node_id elected_leader(const std::vector<W>& config,
+                       const compiled_protocol<P>& compiled,
+                       const std::vector<node_id>* old_of_new) {
   if constexpr (std::is_same_v<W, std::uint8_t>) {
     if (old_of_new == nullptr) {
       int leader_states = 0;
@@ -125,234 +108,21 @@ node_id elected_leader_compiled(const std::vector<W>& config,
       }
     }
   }
-  return elected_leader(
-      config, [&](W id) { return compiled.output(id); }, old_of_new);
+  node_id leader = -1;
+  for (std::size_t v = 0; v < config.size(); ++v) {
+    if (compiled.output(config[v]) != role::leader) continue;
+    if (old_of_new == nullptr) return static_cast<node_id>(v);
+    const node_id original = (*old_of_new)[v];
+    if (leader < 0 || original < leader) leader = original;
+  }
+  return leader;
 }
-
-// Runs one election on a prepared compiled table and endpoint arrays.
-// `compiled` fills lazily during the run; if it is closed() the run never
-// mutates it, so a single closed table (and one edge_endpoints) can be shared
-// by concurrent trials of a parameter sweep.
-//
-// `old_of_new`, when given, maps the run's node ids back to the caller's
-// (pre-relabelling) ids: node v starts in initial_state(old_of_new[v]) and
-// the reported leader is the smallest *original* id with leader output, so a
-// run on a relabelled graph is the exact original process under an
-// isomorphism.  nullptr (the default) leaves behaviour — and the PR 2
-// bit-identity with the reference simulator — untouched.
-//
-// `probe` (obs/probe.h) collects phase telemetry when Probe::enabled; with
-// the default null_probe every hook is an `if constexpr` dead branch, so the
-// instrumented loop compiles to the uninstrumented one.  Probes only read
-// the run — they never alter the draw stream, the stopping step or the
-// result (the zero-cost/determinism contract bench/obs.cpp and
-// tests/test_obs.cpp enforce).
-template <compilable_protocol P, typename Probe = obs::null_probe>
-election_result run_compiled(compiled_protocol<P>& compiled,
-                             const edge_endpoints& edges, const graph& g,
-                             rng gen, const sim_options& options = {},
-                             const std::vector<node_id>* old_of_new = nullptr,
-                             [[maybe_unused]] Probe* probe = nullptr) {
-  using traits = census_model_t<P>;
-  constexpr bool kEdgeCensus = edge_census_protocol<P>;
-  const P& proto = compiled.protocol();
-  const node_id n = g.num_nodes();
-  expects(edges.doubled() == 2 * static_cast<std::uint64_t>(g.num_edges()),
-          "run_compiled: endpoint arrays do not match the graph");
-  expects(g.num_edges() >= 1, "run_compiled: graph must have at least one edge");
-  expects(old_of_new == nullptr ||
-              old_of_new->size() == static_cast<std::size_t>(n),
-          "run_compiled: node map does not match the graph");
-
-  std::vector<std::uint32_t> config(static_cast<std::size_t>(n));
-  std::int64_t totals[kMaxCensusCounters] = {};
-  for (node_id v = 0; v < n; ++v) {
-    const node_id src = old_of_new ? (*old_of_new)[static_cast<std::size_t>(v)] : v;
-    const auto id = compiled.intern(proto.initial_state(src));
-    config[static_cast<std::size_t>(v)] = id;
-    const auto& c = compiled.contribution(id);
-    for (int i = 0; i < traits::kCounters; ++i) totals[i] += c[static_cast<std::size_t>(i)];
-  }
-
-  // Edge-census protocols track a class byte per node and the per-class-pair
-  // edge counters alongside the node totals; stability is the traits' joint
-  // predicate over both.  Counter-shaped protocols skip all of it (constexpr).
-  edge_class_census ecensus;
-  const graph_rows rows{&g};
-  if constexpr (kEdgeCensus) {
-    std::vector<std::uint8_t> cls(static_cast<std::size_t>(n));
-    for (node_id v = 0; v < n; ++v) {
-      cls[static_cast<std::size_t>(v)] =
-          compiled.state_class(config[static_cast<std::size_t>(v)]);
-    }
-    ecensus.reset(cls, g.edges());
-  }
-  if constexpr (Probe::enabled) {
-    expects(probe != nullptr, "run_compiled: enabled probe type needs a probe");
-  }
-  [[maybe_unused]] const std::uint64_t fills_at_start = compiled.lazy_fills();
-  const auto stable_now = [&] {
-    if constexpr (Probe::enabled) probe->on_predicate_evals(1);
-    if constexpr (kEdgeCensus) {
-      return traits::stable(totals, ecensus.pairs());
-    } else {
-      return traits::stable(totals);
-    }
-  };
-
-  // With the census on, distinct states are a byte-mark per interned id:
-  // every id ever written into `config` gets marked, which is exactly the
-  // set the reference simulator's unordered_set accumulates.
-  std::vector<std::uint8_t> seen;
-  const bool census = options.state_census;
-  auto mark = [&](std::uint32_t id) {
-    if (id >= seen.size()) seen.resize(compiled.num_states(), 0);
-    seen[id] = 1;
-  };
-  if (census) {
-    for (const auto id : config) mark(id);
-  }
-
-  const std::uint64_t two_m = edges.doubled();
-  const interaction* const pairs = edges.pairs.data();
-  block_rng draw(gen);
-
-  // Picks are generated a batch ahead of their use: the draw stream does not
-  // depend on the configuration, so upcoming pair-array lines can be
-  // software-prefetched while earlier steps execute, hiding the per-step
-  // cache miss on large edge lists.  The draw *order* is unchanged, so runs
-  // stay bit-identical to the reference simulator; draws generated past the
-  // stopping step are simply discarded (the generator is owned by value).
-  constexpr std::size_t kBatch = 256;
-  constexpr std::size_t kAhead = 16;
-  std::uint64_t picks[kBatch];
-
-  election_result result;
-  std::uint64_t steps = 0;
-  while (!stable_now()) {
-    if (steps >= options.max_steps) {
-      result.steps = steps;
-      if (census) {
-        for (const auto s : seen) result.distinct_states_used += s;
-      }
-      if constexpr (Probe::enabled) {
-        probe->on_table_fills(compiled.lazy_fills() - fills_at_start);
-      }
-      return result;
-    }
-    // The max_steps bound is folded into the block length, and the stability
-    // predicate is only re-evaluated after a step whose census delta is
-    // nonzero — on zero-delta steps (the overwhelming majority on
-    // sparse-token protocols) the totals cannot move, so neither the four
-    // counter adds nor the predicate run.  Edge-census protocols extend the
-    // fast path's trigger to class flips: a step that changes neither the
-    // node totals nor any node's class cannot move the pair counters either,
-    // so the joint predicate is equally skippable.  Census marks fire only
-    // for ids that actually changed: an unchanged id was marked when it was
-    // written into `config`.  All of this is observationally identical to
-    // the per-step checks (same stopping step, same marks), so seeded
-    // equivalence with the reference simulator is preserved.
-    const std::uint64_t remaining = options.max_steps - steps;
-    const std::size_t len =
-        remaining < kBatch ? static_cast<std::size_t>(remaining) : kBatch;
-    for (std::size_t i = 0; i < len; ++i) picks[i] = draw.uniform_below(two_m);
-    if constexpr (Probe::enabled) probe->on_draws(len);
-    // Step/active counts accumulate in locals and flush once per batch: a
-    // per-step read-modify-write through the probe pointer is measurable at
-    // this loop's step rate, a register add is not (bench/obs.cpp gates the
-    // enabled path at <= 10%).
-    [[maybe_unused]] const std::uint64_t probe_base = steps;
-    [[maybe_unused]] std::uint64_t probe_active = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      if (i + kAhead < len) {
-        __builtin_prefetch(&pairs[picks[i + kAhead]], /*rw=*/0, /*locality=*/1);
-      }
-      const interaction it = pairs[picks[i]];
-      const auto u = static_cast<std::size_t>(it.initiator);
-      const auto v = static_cast<std::size_t>(it.responder);
-      const auto ca = config[u];
-      const auto cb = config[v];
-      const auto e = compiled.transition(ca, cb);
-      config[u] = e.a2;
-      config[v] = e.b2;
-      ++steps;
-      if constexpr (Probe::enabled) {
-        probe_active += (e.a2 != ca || e.b2 != cb) ? 1u : 0u;
-      }
-      if (census) {
-        if (e.a2 != ca) mark(e.a2);
-        if (e.b2 != cb) mark(e.b2);
-      }
-      std::uint32_t delta_bits;
-      static_assert(sizeof(delta_bits) == sizeof(e.delta));
-      std::memcpy(&delta_bits, e.delta.data(), sizeof(delta_bits));
-      if constexpr (kEdgeCensus) {
-        bool moved = delta_bits != 0;
-        if (e.a2 != ca) {
-          moved |= ecensus.reclass(rows, u, compiled.state_class(e.a2));
-        }
-        if (e.b2 != cb) {
-          moved |= ecensus.reclass(rows, v, compiled.state_class(e.b2));
-        }
-        if (delta_bits != 0) {
-          for (int c = 0; c < traits::kCounters; ++c) {
-            totals[c] += e.delta[static_cast<std::size_t>(c)];
-          }
-        }
-        if (moved && stable_now()) break;
-      } else {
-        if (delta_bits != 0) {
-          for (int c = 0; c < traits::kCounters; ++c) {
-            totals[c] += e.delta[static_cast<std::size_t>(c)];
-          }
-          if (stable_now()) break;
-        }
-      }
-      // Sampled after the delta lands, so a sample at step s reports the
-      // census *after* s steps; the stabilizing step breaks above and is
-      // reported by the result instead.
-      if constexpr (Probe::enabled) {
-        if (probe->want_census(steps)) {
-          probe->on_census(steps, totals, traits::kCounters);
-        }
-      }
-    }
-    if constexpr (Probe::enabled) {
-      probe->on_steps(steps - probe_base, probe_active);
-    }
-  }
-
-  result.stabilized = true;
-  result.steps = steps;
-  if (census) {
-    for (const auto s : seen) result.distinct_states_used += s;
-  }
-  result.leader = elected_leader_compiled(config, compiled, old_of_new);
-  if constexpr (Probe::enabled) {
-    probe->on_table_fills(compiled.lazy_fills() - fills_at_start);
-  }
-  return result;
-}
-
-// Drop-in fast replacement for run_until_stable on compilable protocols:
-// compiles the protocol lazily and runs one election.  Same result as the
-// reference simulator for the same seed.
-template <compilable_protocol P>
-election_result run_until_stable_fast(const P& proto, const graph& g, rng gen,
-                                      const sim_options& options = {}) {
-  compiled_protocol<P> compiled(proto);
-  const edge_endpoints edges(g);
-  return run_compiled(compiled, edges, g, gen, options);
-}
-
-// ----------------------------------------------------------------------------
-// Packed configurations (the cache-locality fast path).
 
 // Single-orientation endpoint array at node word width N (u16 when n fits,
 // u32 otherwise).  Each edge is stored once in its canonical u < v
-// orientation; run_packed folds the orientation half of the scheduler draw
-// k ∈ [0, 2m) into two conditional moves (k >= m swaps the endpoints), which
-// halves the randomly-accessed endpoint working set relative to
+// orientation; the packed layout folds the orientation half of the scheduler
+// draw k ∈ [0, 2m) into two conditional moves (k >= m swaps the endpoints),
+// which halves the randomly-accessed endpoint working set relative to
 // edge_endpoints' doubled array — the dominant term on sparse graphs, where
 // the pair array is 4×–8× the config array.
 template <typename N>
@@ -378,13 +148,13 @@ struct packed_endpoints {
   std::size_t bytes() const { return pairs.size() * sizeof(pair_type); }
 };
 
-// Sweep-shared initial state for run_packed: the initial config at word
-// width W, the census totals it implies and — for edge-census protocols —
-// the initial edge-class census.  The initial configuration of a sweep is
-// deterministic, so tuned_runner computes this once and every trial's setup
-// collapses to a few memcpys instead of n intern lookups plus an O(m) pair
-// recount — the term that dominates one-interaction elections like
-// star-on-star (bench/star.cpp).
+// The initial state of a run at config word width W: the initial config, the
+// census totals it implies and — for edge-census protocols — the initial
+// edge-class census.  The initial configuration of a sweep is deterministic,
+// so tuned_runner computes this once and every trial's setup collapses to a
+// few memcpys instead of n intern lookups plus an O(m) pair recount — the
+// term that dominates one-interaction elections like star-on-star
+// (bench/star.cpp).
 template <typename W>
 struct packed_start {
   std::vector<W> config;
@@ -392,15 +162,15 @@ struct packed_start {
   edge_class_census ecensus;  // empty for counter-shaped protocols
 };
 
-// Builds the initial state a run on (compiled, g, old_of_new) starts from.
-// The single definition serves tuned_runner's per-sweep precompute AND
-// run_packed's no-start fallback, so the two can never drift — the
-// "identical by construction" half of the bit-identity contract.  Requires
-// every initial state to be interned already (id_of), i.e. a prepared table.
-template <typename W, compilable_protocol P>
-packed_start<W> make_packed_start(const compiled_protocol<P>& compiled,
-                                  const graph& g,
-                                  const std::vector<node_id>* old_of_new) {
+// Builds the initial state a run on (compiled, g, old_of_new) starts from;
+// node v starts in initial_state(old_of_new[v]) (v itself without a map).
+// `id_of` maps a state to its table id — compiled.intern on a lazy table,
+// compiled.id_of on a prepared one (make_packed_start below).
+template <typename W, compilable_protocol P, typename IdOf>
+packed_start<W> make_start(const compiled_protocol<P>& compiled,
+                           const graph& g,
+                           const std::vector<node_id>* old_of_new,
+                           IdOf&& id_of) {
   using traits = census_model_t<P>;
   const P& proto = compiled.protocol();
   const node_id n = g.num_nodes();
@@ -408,7 +178,7 @@ packed_start<W> make_packed_start(const compiled_protocol<P>& compiled,
   s.config.resize(static_cast<std::size_t>(n));
   for (node_id v = 0; v < n; ++v) {
     const node_id src = old_of_new ? (*old_of_new)[static_cast<std::size_t>(v)] : v;
-    const auto id = compiled.id_of(proto.initial_state(src));
+    const auto id = id_of(proto.initial_state(src));
     s.config[static_cast<std::size_t>(v)] = static_cast<W>(id);
     const auto& c = compiled.contribution(id);
     for (int i = 0; i < traits::kCounters; ++i) {
@@ -425,9 +195,368 @@ packed_start<W> make_packed_start(const compiled_protocol<P>& compiled,
   return s;
 }
 
-// run_packed: the run_compiled loop over a width-packed closed table, packed
-// endpoint array and W-word config.  For the same (seed, graph, nullptr map)
-// it is bit-identical to run_compiled at every width: the draw stream, the
+// make_start on a prepared table: every initial state must be interned
+// already, so the table is only read.
+template <typename W, compilable_protocol P>
+packed_start<W> make_packed_start(const compiled_protocol<P>& compiled,
+                                  const graph& g,
+                                  const std::vector<node_id>* old_of_new) {
+  return make_start<W>(compiled, g, old_of_new,
+                       [&](const auto& s) { return compiled.id_of(s); });
+}
+
+namespace detail {
+
+// The per-run election state every engine loop drives: the W-word config,
+// the census totals, the edge-class census over `Rows` adjacency, the
+// state-census marks, the stability predicate, one interaction's apply and
+// the result epilogue.  The step loop below and run_silent own only how the
+// next interaction is chosen.
+template <typename W, compilable_protocol P, typename Rows, typename Probe>
+class election_run {
+  using traits = census_model_t<P>;
+  static constexpr bool kEdgeCensus = edge_census_protocol<P>;
+
+ public:
+  using probe_type = Probe;
+
+  election_run(const compiled_protocol<P>& compiled, packed_start<W> start,
+               const Rows* rows, const std::vector<node_id>* old_of_new,
+               bool census, Probe* probe)
+      : config(std::move(start.config)),
+        probe(probe),
+        compiled_(compiled),
+        totals_(start.totals),
+        ecensus_(std::move(start.ecensus)),
+        rows_(rows),
+        old_of_new_(old_of_new),
+        census_(census),
+        fills_at_start_(compiled.lazy_fills()) {
+    if constexpr (Probe::enabled) {
+      expects(probe != nullptr, "engine: enabled probe type needs a probe");
+    }
+    // With the census on, distinct states are a byte-mark per interned id:
+    // every id ever written into `config` gets marked, which is exactly the
+    // set the reference simulator's unordered_set accumulates.
+    if (census_) {
+      seen_.assign(compiled.num_states(), 0);
+      for (const auto id : config) seen_[id] = 1;
+    }
+  }
+
+  // The stability predicate over the current totals (and, for edge-census
+  // protocols, the class-pair counters).
+  bool stable() {
+    if constexpr (Probe::enabled) probe->on_predicate_evals(1);
+    if constexpr (kEdgeCensus) {
+      return traits::stable(totals_.data(), ecensus_.pairs());
+    } else {
+      return traits::stable(totals_.data());
+    }
+  }
+
+  // Applies transition `e` to the drawn pair (u, v), whose words were
+  // (ca, cb): stores both words, marks new ids, moves the totals and
+  // reclassifies flipped nodes.  Returns whether the predicate's inputs
+  // moved — a step that changes neither the node totals nor any node's class
+  // cannot move the pair counters either, so only then can stability flip.
+  // Census marks fire only for ids that actually changed: an unchanged id
+  // was marked when it was written into `config`.
+  bool apply(std::size_t u, std::size_t v, W ca, W cb,
+             const packed_entry<W>& e) {
+    config[u] = e.a2;
+    config[v] = e.b2;
+    if (census_) {
+      if (e.a2 != ca) mark(e.a2);
+      if (e.b2 != cb) mark(e.b2);
+    }
+    bool moved = e.delta_nonzero();
+    if constexpr (kEdgeCensus) {
+      if (e.a2 != ca) {
+        moved |= ecensus_.reclass(*rows_, u, compiled_.state_class(e.a2));
+      }
+      if (e.b2 != cb) {
+        moved |= ecensus_.reclass(*rows_, v, compiled_.state_class(e.b2));
+      }
+    }
+    if (e.delta_nonzero()) {
+      for (int c = 0; c < traits::kCounters; ++c) {
+        totals_[static_cast<std::size_t>(c)] += e.delta_of(c);
+      }
+    }
+    return moved;
+  }
+
+  // Census sample after `steps` steps, when the probe wants one.
+  void sample(std::uint64_t steps) {
+    if constexpr (Probe::enabled) {
+      if (probe->want_census(steps)) {
+        probe->on_census(steps, totals_.data(), traits::kCounters);
+      }
+    }
+  }
+
+  // The result of a run that stopped after `steps` steps; the leader is only
+  // reported for stabilized runs.
+  election_result finish(std::uint64_t steps, bool stabilized) {
+    election_result result;
+    result.stabilized = stabilized;
+    result.steps = steps;
+    for (const auto s : seen_) result.distinct_states_used += s;
+    if (stabilized) {
+      result.leader = elected_leader(config, compiled_, old_of_new_);
+    }
+    if constexpr (Probe::enabled) {
+      probe->on_table_fills(compiled_.lazy_fills() - fills_at_start_);
+    }
+    return result;
+  }
+
+  std::vector<W> config;
+  [[maybe_unused]] Probe* probe;
+
+ private:
+  // A lazy table can intern ids past the marks' size mid-run; a closed one
+  // never does.
+  void mark(std::uint32_t id) {
+    if (id >= seen_.size()) seen_.resize(compiled_.num_states(), 0);
+    seen_[id] = 1;
+  }
+
+  const compiled_protocol<P>& compiled_;
+  std::array<std::int64_t, kMaxCensusCounters> totals_;
+  edge_class_census ecensus_;  // empty for counter-shaped protocols
+  std::vector<std::uint8_t> seen_;
+  const Rows* rows_;
+  const std::vector<node_id>* old_of_new_;
+  bool census_;
+  std::uint64_t fills_at_start_;
+};
+
+// Endpoints of one scheduler draw.  A pair fetch answers at(k) with the
+// oriented pair (u initiates) and ends(k) with the two endpoints in either
+// order — enough for a prefetch hint, and free of the orientation branch.
+struct drawn_pair {
+  std::size_t u;
+  std::size_t v;
+};
+
+// Pair fetch over the doubled edge_endpoints: draw k is pairs[k].
+struct doubled_fetch {
+  explicit doubled_fetch(const edge_endpoints& edges)
+      : pairs(edges.pairs.data()), two_m(edges.doubled()) {}
+
+  const interaction* line(std::uint64_t k) const { return pairs + k; }
+  drawn_pair at(std::uint64_t k) const {
+    return {static_cast<std::size_t>(pairs[k].initiator),
+            static_cast<std::size_t>(pairs[k].responder)};
+  }
+  drawn_pair ends(std::uint64_t k) const { return at(k); }
+
+  const interaction* pairs;
+  std::uint64_t two_m;
+};
+
+// Pair fetch over packed_endpoints<N>: draw k < m is edge k as stored, k >= m
+// is edge k - m flipped.
+template <typename N>
+struct packed_fetch {
+  explicit packed_fetch(const packed_endpoints<N>& edges)
+      : pairs(edges.pairs.data()),
+        m(static_cast<std::uint64_t>(edges.pairs.size())),
+        two_m(2 * m) {}
+
+  const auto* line(std::uint64_t k) const { return pairs + (k >= m ? k - m : k); }
+  drawn_pair at(std::uint64_t k) const {
+    const bool flip = k >= m;
+    const auto& pr = pairs[flip ? k - m : k];
+    return {static_cast<std::size_t>(flip ? pr.b : pr.a),
+            static_cast<std::size_t>(flip ? pr.a : pr.b)};
+  }
+  drawn_pair ends(std::uint64_t k) const {
+    const auto& pr = *line(k);
+    return {static_cast<std::size_t>(pr.a), static_cast<std::size_t>(pr.b)};
+  }
+
+  const typename packed_endpoints<N>::pair_type* pairs;
+  std::uint64_t m;
+  std::uint64_t two_m;
+};
+
+// The step loop, run on a layout: the pair fetch `pairs` (doubled_fetch or
+// packed_fetch<N>), the table `lookup(a, b)` (a lazy compiled_protocol or a
+// closed packed_table) and the word width W and adjacency rows the `run`
+// state was built with.  `pairs` and `lookup` are taken by value: as the
+// loop's own locals their pointers and bounds stay in registers instead of
+// being reloaded after every (possibly aliasing) config store.
+//
+// Picks are generated a batch ahead of their use: the draw stream does not
+// depend on the configuration, so it drives a two-level software-prefetch
+// pipeline — the pair line is requested kPairAhead steps early; once it has
+// (likely) arrived, kConfAhead steps out, it is loaded and the two config
+// words it names are requested in turn.  Everything there is loads and
+// hints, so the executed trajectory is untouched (prefetching a word that an
+// intervening step overwrites is harmless: the real load sees the stored
+// value).  The draw *order* is unchanged, so runs stay bit-identical to the
+// reference simulator; draws generated past the stopping step are simply
+// discarded (the generator is owned by value).
+//
+// The max_steps bound is folded into the batch length, and the stability
+// predicate is only re-evaluated after a step that moved its inputs
+// (election_run::apply) — on zero-delta steps, the overwhelming majority on
+// sparse-token protocols, neither the counter adds nor the predicate run.
+// This is observationally identical to per-step checks (same stopping step,
+// same marks), so seeded equivalence with the reference simulator holds.
+template <typename Run, typename Pairs, typename Lookup>
+election_result step_loop(Run& run, const Pairs pairs, const Lookup lookup,
+                          rng gen, std::uint64_t max_steps) {
+  using Probe = typename Run::probe_type;
+  [[maybe_unused]] Probe* const probe = run.probe;
+  const auto* const config = run.config.data();
+  block_rng draw(gen);
+  constexpr std::size_t kBatch = 256;
+  constexpr std::size_t kPairAhead = 16;
+  constexpr std::size_t kConfAhead = 8;
+  std::uint64_t picks[kBatch];
+
+  std::uint64_t steps = 0;
+  while (!run.stable()) {
+    if (steps >= max_steps) return run.finish(steps, false);
+    const std::uint64_t remaining = max_steps - steps;
+    const std::size_t len =
+        remaining < kBatch ? static_cast<std::size_t>(remaining) : kBatch;
+    for (std::size_t i = 0; i < len; ++i) {
+      picks[i] = draw.uniform_below(pairs.two_m);
+    }
+    if constexpr (Probe::enabled) probe->on_draws(len);
+    // Step/active counts accumulate in locals and flush once per batch: a
+    // per-step read-modify-write through the probe pointer is measurable at
+    // this loop's step rate, a register add is not (bench/obs.cpp gates the
+    // enabled path at <= 10%).
+    [[maybe_unused]] const std::uint64_t probe_base = steps;
+    [[maybe_unused]] std::uint64_t probe_active = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      if (i + kPairAhead < len) {
+        __builtin_prefetch(pairs.line(picks[i + kPairAhead]), /*rw=*/0,
+                           /*locality=*/1);
+      }
+      if (i + kConfAhead < len) {
+        const drawn_pair next = pairs.ends(picks[i + kConfAhead]);
+        __builtin_prefetch(&config[next.u], /*rw=*/1, /*locality=*/1);
+        __builtin_prefetch(&config[next.v], /*rw=*/1, /*locality=*/1);
+      }
+      const drawn_pair p = pairs.at(picks[i]);
+      const auto ca = config[p.u];
+      const auto cb = config[p.v];
+      const auto e = lookup(ca, cb);
+      ++steps;
+      if constexpr (Probe::enabled) {
+        probe_active += (e.a2 != ca || e.b2 != cb) ? 1u : 0u;
+      }
+      if (run.apply(p.u, p.v, ca, cb, e) && run.stable()) break;
+      // Sampled after the delta lands, so a sample at step s reports the
+      // census *after* s steps; the stabilizing step breaks above and is
+      // reported by the result instead.
+      run.sample(steps);
+    }
+    if constexpr (Probe::enabled) {
+      probe->on_steps(steps - probe_base, probe_active);
+    }
+  }
+  return run.finish(steps, true);
+}
+
+// Checks the inputs run_packed and run_silent share and returns the run's
+// start: a copy of `start`, or the identical one built locally without it.
+template <typename W, typename N, compilable_protocol P>
+packed_start<W> packed_run_start(const char* who,
+                                 const compiled_protocol<P>& compiled,
+                                 const packed_table<W, P>& table,
+                                 const packed_endpoints<N>& edges,
+                                 const graph& g,
+                                 const std::vector<node_id>* old_of_new,
+                                 const packed_csr<N>* adjacency,
+                                 const packed_start<W>* start) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  const auto check = [who](bool ok, const char* what) {
+    if (!ok) expects(false, std::string(who) + ": " + what);
+  };
+  check(edges.pairs.size() == static_cast<std::size_t>(g.num_edges()),
+        "endpoint array does not match the graph");
+  check(g.num_edges() >= 1, "graph must have at least one edge");
+  check(table.num_states() == compiled.num_states(),
+        "packed table does not match the compiled table");
+  check(old_of_new == nullptr || old_of_new->size() == n,
+        "node map does not match the graph");
+  if constexpr (edge_census_protocol<P>) {
+    check(adjacency != nullptr && adjacency->offsets.size() == n + 1,
+          "edge-census protocols need the graph's CSR adjacency view");
+  }
+  if (start == nullptr) return make_packed_start<W>(compiled, g, old_of_new);
+  check(start->config.size() == n,
+        "shared initial state does not match the graph");
+  return *start;
+}
+
+}  // namespace detail
+
+// Runs one election on a lazy compiled table and the doubled endpoint array.
+// `compiled` fills lazily during the run; if it is closed() the run never
+// mutates it, so a single closed table (and one edge_endpoints) can be shared
+// by concurrent trials of a parameter sweep.
+//
+// `old_of_new`, when given, maps the run's node ids back to the caller's
+// (pre-relabelling) ids: node v starts in initial_state(old_of_new[v]) and
+// the reported leader is the smallest *original* id with leader output, so a
+// run on a relabelled graph is the exact original process under an
+// isomorphism.  nullptr (the default) leaves behaviour — and the bit-identity
+// with the reference simulator — untouched.
+//
+// `probe` (obs/probe.h) collects phase telemetry when Probe::enabled; with
+// the default null_probe every hook is an `if constexpr` dead branch, so the
+// instrumented loop compiles to the uninstrumented one.  Probes only read
+// the run — they never alter the draw stream, the stopping step or the
+// result (the zero-cost/determinism contract bench/obs.cpp and
+// tests/test_obs.cpp enforce).
+template <compilable_protocol P, typename Probe = obs::null_probe>
+election_result run_compiled(compiled_protocol<P>& compiled,
+                             const edge_endpoints& edges, const graph& g,
+                             rng gen, const sim_options& options = {},
+                             const std::vector<node_id>* old_of_new = nullptr,
+                             Probe* probe = nullptr) {
+  expects(edges.doubled() == 2 * static_cast<std::uint64_t>(g.num_edges()),
+          "run_compiled: endpoint arrays do not match the graph");
+  expects(g.num_edges() >= 1, "run_compiled: graph must have at least one edge");
+  expects(old_of_new == nullptr ||
+              old_of_new->size() == static_cast<std::size_t>(g.num_nodes()),
+          "run_compiled: node map does not match the graph");
+  const graph_rows rows{&g};
+  detail::election_run<std::uint32_t, P, graph_rows, Probe> run(
+      compiled,
+      make_start<std::uint32_t>(
+          compiled, g, old_of_new,
+          [&](const auto& s) { return compiled.intern(s); }),
+      &rows, old_of_new, options.state_census, probe);
+  return detail::step_loop(
+      run, detail::doubled_fetch(edges),
+      [&](std::uint32_t a, std::uint32_t b) { return compiled.transition(a, b); },
+      gen, options.max_steps);
+}
+
+// Drop-in fast replacement for run_until_stable on compilable protocols:
+// compiles the protocol lazily and runs one election.  Same result as the
+// reference simulator for the same seed.
+template <compilable_protocol P>
+election_result run_until_stable_fast(const P& proto, const graph& g, rng gen,
+                                      const sim_options& options = {}) {
+  compiled_protocol<P> compiled(proto);
+  const edge_endpoints edges(g);
+  return run_compiled(compiled, edges, g, gen, options);
+}
+
+// run_packed: the step loop over a width-packed closed table, packed endpoint
+// array and W-word config.  For the same (seed, graph, nullptr map) it is
+// bit-identical to run_compiled at every width: the draw stream, the
 // pick-to-interaction mapping, the census marks and the stability predicate
 // are all unchanged — only the bytes per touch shrink.  Requires the closed
 // table the packed_table snapshot was taken from.
@@ -446,167 +575,15 @@ election_result run_packed(const compiled_protocol<P>& compiled,
                            const std::vector<node_id>* old_of_new = nullptr,
                            const packed_csr<N>* adjacency = nullptr,
                            const packed_start<W>* start = nullptr,
-                           [[maybe_unused]] Probe* probe = nullptr) {
-  using traits = census_model_t<P>;
-  constexpr bool kEdgeCensus = edge_census_protocol<P>;
-  const node_id n = g.num_nodes();
-  expects(edges.pairs.size() == static_cast<std::size_t>(g.num_edges()),
-          "run_packed: endpoint array does not match the graph");
-  expects(g.num_edges() >= 1, "run_packed: graph must have at least one edge");
-  expects(table.num_states() == compiled.num_states(),
-          "run_packed: packed table does not match the compiled table");
-  expects(old_of_new == nullptr ||
-              old_of_new->size() == static_cast<std::size_t>(n),
-          "run_packed: node map does not match the graph");
-  if constexpr (kEdgeCensus) {
-    expects(adjacency != nullptr &&
-                adjacency->offsets.size() == static_cast<std::size_t>(n) + 1,
-            "run_packed: edge-census protocols need the graph's CSR adjacency "
-            "view");
-  }
-
-  // Without a caller-provided start, build the identical one locally.
-  std::optional<packed_start<W>> local_start;
-  if (start == nullptr) {
-    start = &local_start.emplace(make_packed_start<W>(compiled, g, old_of_new));
-  }
-  expects(start->config.size() == static_cast<std::size_t>(n),
-          "run_packed: shared initial state does not match the graph");
-  std::vector<W> config = start->config;
-  std::int64_t totals[kMaxCensusCounters] = {};
-  for (int i = 0; i < traits::kCounters; ++i) {
-    totals[i] = start->totals[static_cast<std::size_t>(i)];
-  }
-  edge_class_census ecensus;
-  if constexpr (kEdgeCensus) ecensus = start->ecensus;
-  if constexpr (Probe::enabled) {
-    expects(probe != nullptr, "run_packed: enabled probe type needs a probe");
-  }
-  const auto stable_now = [&] {
-    if constexpr (Probe::enabled) probe->on_predicate_evals(1);
-    if constexpr (kEdgeCensus) {
-      return traits::stable(totals, ecensus.pairs());
-    } else {
-      return traits::stable(totals);
-    }
-  };
-
-  // The table is closed, so the id space is fixed: the census byte-marks can
-  // be sized once up front (same marks as run_compiled's lazy resize).
-  std::vector<std::uint8_t> seen;
-  const bool census = options.state_census;
-  if (census) {
-    seen.assign(table.num_states(), 0);
-    for (const auto id : config) seen[id] = 1;
-  }
-
-  const std::uint64_t m = static_cast<std::uint64_t>(edges.pairs.size());
-  const std::uint64_t two_m = 2 * m;
-  const auto* const pairs = edges.pairs.data();
-  block_rng draw(gen);
-
-  // Two-level prefetch pipeline over the precomputed pick batch: the pair
-  // line is requested kPairAhead steps early; once it has (likely) arrived —
-  // kConfAhead steps out — it is loaded and the two config words it names
-  // are requested in turn.  Everything here is loads and hints, so the
-  // executed trajectory is untouched; in particular prefetching a config
-  // word that an intervening step will overwrite is harmless (the real load
-  // at step time sees the stored value).
-  constexpr std::size_t kBatch = 256;
-  constexpr std::size_t kPairAhead = 16;
-  constexpr std::size_t kConfAhead = 8;
-  std::uint64_t picks[kBatch];
-
-  election_result result;
-  std::uint64_t steps = 0;
-  while (!stable_now()) {
-    if (steps >= options.max_steps) {
-      result.steps = steps;
-      if (census) {
-        for (const auto s : seen) result.distinct_states_used += s;
-      }
-      return result;
-    }
-    const std::uint64_t remaining = options.max_steps - steps;
-    const std::size_t len =
-        remaining < kBatch ? static_cast<std::size_t>(remaining) : kBatch;
-    for (std::size_t i = 0; i < len; ++i) picks[i] = draw.uniform_below(two_m);
-    if constexpr (Probe::enabled) probe->on_draws(len);
-    // Same batched probe accumulation as run_compiled: locals in registers,
-    // one on_steps flush per batch.
-    [[maybe_unused]] const std::uint64_t probe_base = steps;
-    [[maybe_unused]] std::uint64_t probe_active = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      if (i + kPairAhead < len) {
-        const std::uint64_t k = picks[i + kPairAhead];
-        __builtin_prefetch(&pairs[k >= m ? k - m : k], /*rw=*/0, /*locality=*/1);
-      }
-      if (i + kConfAhead < len) {
-        const std::uint64_t k = picks[i + kConfAhead];
-        // Orientation is irrelevant for the hint: both config words are
-        // touched either way.
-        const auto pr = pairs[k >= m ? k - m : k];
-        __builtin_prefetch(&config[pr.a], /*rw=*/1, /*locality=*/1);
-        __builtin_prefetch(&config[pr.b], /*rw=*/1, /*locality=*/1);
-      }
-      const std::uint64_t k = picks[i];
-      const bool flip = k >= m;
-      const auto pr = pairs[flip ? k - m : k];
-      const auto u = static_cast<std::size_t>(flip ? pr.b : pr.a);
-      const auto v = static_cast<std::size_t>(flip ? pr.a : pr.b);
-      const W ca = config[u];
-      const W cb = config[v];
-      const packed_entry<W> e = table.at(ca, cb);
-      config[u] = e.a2;
-      config[v] = e.b2;
-      ++steps;
-      if constexpr (Probe::enabled) {
-        probe_active += (e.a2 != ca || e.b2 != cb) ? 1u : 0u;
-      }
-      if (census) {
-        if (e.a2 != ca) seen[e.a2] = 1;
-        if (e.b2 != cb) seen[e.b2] = 1;
-      }
-      if constexpr (kEdgeCensus) {
-        bool moved = e.delta_nonzero();
-        if (e.a2 != ca) {
-          moved |= ecensus.reclass(*adjacency, u, compiled.state_class(e.a2));
-        }
-        if (e.b2 != cb) {
-          moved |= ecensus.reclass(*adjacency, v, compiled.state_class(e.b2));
-        }
-        if (e.delta_nonzero()) {
-          for (int c = 0; c < traits::kCounters; ++c) {
-            totals[c] += e.delta_of(c);
-          }
-        }
-        if (moved && stable_now()) break;
-      } else {
-        if (e.delta_nonzero()) {
-          for (int c = 0; c < traits::kCounters; ++c) {
-            totals[c] += e.delta_of(c);
-          }
-          if (stable_now()) break;
-        }
-      }
-      if constexpr (Probe::enabled) {
-        if (probe->want_census(steps)) {
-          probe->on_census(steps, totals, traits::kCounters);
-        }
-      }
-    }
-    if constexpr (Probe::enabled) {
-      probe->on_steps(steps - probe_base, probe_active);
-    }
-  }
-
-  result.stabilized = true;
-  result.steps = steps;
-  if (census) {
-    for (const auto s : seen) result.distinct_states_used += s;
-  }
-  result.leader = elected_leader_compiled(config, compiled, old_of_new);
-  return result;
+                           Probe* probe = nullptr) {
+  detail::election_run<W, P, packed_csr<N>, Probe> run(
+      compiled,
+      detail::packed_run_start("run_packed", compiled, table, edges, g,
+                               old_of_new, adjacency, start),
+      adjacency, old_of_new, options.state_census, probe);
+  return detail::step_loop(
+      run, detail::packed_fetch<N>(edges),
+      [&](W a, W b) { return table.at(a, b); }, gen, options.max_steps);
 }
 
 }  // namespace pp
@@ -811,9 +788,7 @@ class tuned_runner {
 
  private:
   // Precomputes the sweep's shared initial state (config, totals, edge-class
-  // census) for the resolved width; run() hands it to every trial.  The
-  // construction itself is make_packed_start — the same function run_packed
-  // falls back to without a start — so the two cannot drift.
+  // census) for the resolved width; run() hands it to every trial.
   template <typename W>
   void build_start() {
     start_ = make_packed_start<W>(
@@ -824,35 +799,27 @@ class tuned_runner {
   election_result run_width(rng gen, const sim_options& options,
                             const std::vector<node_id>* map,
                             Probe* probe) const {
+    return std::holds_alternative<packed_endpoints<std::uint16_t>>(pairs_)
+               ? run_nodes<W, std::uint16_t>(gen, options, map, probe)
+               : run_nodes<W, std::uint32_t>(gen, options, map, probe);
+  }
+
+  template <typename W, typename N, typename Probe>
+  election_result run_nodes(rng gen, const sim_options& options,
+                            const std::vector<node_id>* map,
+                            Probe* probe) const {
     const auto& table = std::get<packed_table<W, P>>(table_);
+    const auto& edges = std::get<packed_endpoints<N>>(pairs_);
     const auto& start = std::get<packed_start<W>>(start_);
-    const bool silent = options.scheduler == scheduler_kind::silent;
     // get_if yields nullptr while csr_ holds monostate — exactly the
-    // counter-shaped protocols, for which run_packed ignores the view.
-    if (const auto* e16 =
-            std::get_if<packed_endpoints<std::uint16_t>>(&pairs_)) {
-      if (silent) {
-        return run_silent(compiled_, table, *e16, incidence(), run_graph(),
-                          gen, options, map,
-                          std::get_if<packed_csr<std::uint16_t>>(&csr_),
-                          &start, probe);
-      }
-      return run_packed(compiled_, table, *e16, run_graph(), gen, options, map,
-                        std::get_if<packed_csr<std::uint16_t>>(&csr_), &start,
-                        probe);
+    // counter-shaped protocols, for which the loops ignore the view.
+    const auto* csr = std::get_if<packed_csr<N>>(&csr_);
+    if (options.scheduler == scheduler_kind::silent) {
+      return run_silent(compiled_, table, edges, incidence(), run_graph(), gen,
+                        options, map, csr, &start, probe);
     }
-    if (silent) {
-      return run_silent(compiled_, table,
-                        std::get<packed_endpoints<std::uint32_t>>(pairs_),
-                        incidence(), run_graph(), gen, options, map,
-                        std::get_if<packed_csr<std::uint32_t>>(&csr_), &start,
-                        probe);
-    }
-    return run_packed(compiled_, table,
-                      std::get<packed_endpoints<std::uint32_t>>(pairs_),
-                      run_graph(), gen, options, map,
-                      std::get_if<packed_csr<std::uint32_t>>(&csr_), &start,
-                      probe);
+    return run_packed(compiled_, table, edges, run_graph(), gen, options, map,
+                      csr, &start, probe);
   }
 
   // The silent scheduler's incidence rows, built on first use and then

@@ -16,8 +16,9 @@
 //     (jump.h): with A active pairs of 2m, the silent run before the next
 //     active step is Geometric(A/2m), and the active step itself is a
 //     uniform draw from the active list;
-//   * stability is re-checked exactly when run_packed would re-check it
-//     (census delta nonzero, or an edge-census class flip) — silent steps
+//   * stability is re-checked exactly when the step loop would re-check it
+//     — both apply steps through the same detail::election_run, which
+//     reports a census delta or an edge-census class flip — silent steps
 //     cannot move the predicate, so skipping them analytically leaves the
 //     stopping rule's trigger set untouched.
 //
@@ -37,7 +38,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "core/simulator.h"
@@ -52,9 +52,9 @@
 #include "support/expects.h"
 
 // This header is included by engine/engine.h (after the packed_endpoints /
-// packed_start / elected_leader definitions it builds on, and before the
-// tuned_runner that dispatches into it).  Include "engine/engine.h" to use
-// run_silent.
+// packed_start / detail::election_run definitions it builds on, and before
+// the tuned_runner that dispatches into it).  Include "engine/engine.h" to
+// use run_silent.
 
 namespace pp {
 
@@ -135,7 +135,8 @@ class active_pair_set {
 
 // run_silent: the event-driven counterpart of run_packed over the same
 // packed table / endpoint / CSR views plus the silent_adjacency incidence
-// rows.  Same signature conventions as run_packed: `adjacency` is required
+// rows, driving the same election state (detail::election_run) as the step
+// loop.  Same signature conventions as run_packed: `adjacency` is required
 // for edge-census protocols, `start` (when given) replaces the per-trial
 // initial-state computation, `probe` only reads the run.
 template <typename W, typename N, compilable_protocol P,
@@ -148,76 +149,29 @@ election_result run_silent(const compiled_protocol<P>& compiled,
                            const std::vector<node_id>* old_of_new = nullptr,
                            const packed_csr<N>* adjacency = nullptr,
                            const packed_start<W>* start = nullptr,
-                           [[maybe_unused]] Probe* probe = nullptr) {
-  using traits = census_model_t<P>;
-  constexpr bool kEdgeCensus = edge_census_protocol<P>;
-  const node_id n = g.num_nodes();
-  expects(edges.pairs.size() == static_cast<std::size_t>(g.num_edges()),
-          "run_silent: endpoint array does not match the graph");
-  expects(g.num_edges() >= 1, "run_silent: graph must have at least one edge");
-  expects(table.num_states() == compiled.num_states(),
-          "run_silent: packed table does not match the compiled table");
-  expects(adj.offsets.size() == static_cast<std::size_t>(n) + 1,
+                           Probe* probe = nullptr) {
+  expects(adj.offsets.size() == static_cast<std::size_t>(g.num_nodes()) + 1,
           "run_silent: incidence rows do not match the graph");
-  expects(old_of_new == nullptr ||
-              old_of_new->size() == static_cast<std::size_t>(n),
-          "run_silent: node map does not match the graph");
-  if constexpr (kEdgeCensus) {
-    expects(adjacency != nullptr &&
-                adjacency->offsets.size() == static_cast<std::size_t>(n) + 1,
-            "run_silent: edge-census protocols need the graph's CSR adjacency "
-            "view");
-  }
+  detail::election_run<W, P, packed_csr<N>, Probe> run(
+      compiled,
+      detail::packed_run_start("run_silent", compiled, table, edges, g,
+                               old_of_new, adjacency, start),
+      adjacency, old_of_new, options.state_census, probe);
+  const detail::packed_fetch<N> pairs(edges);
+  const std::uint64_t m = pairs.m;
+  const W* const config = run.config.data();
 
-  std::optional<packed_start<W>> local_start;
-  if (start == nullptr) {
-    start = &local_start.emplace(make_packed_start<W>(compiled, g, old_of_new));
-  }
-  expects(start->config.size() == static_cast<std::size_t>(n),
-          "run_silent: shared initial state does not match the graph");
-  std::vector<W> config = start->config;
-  std::int64_t totals[kMaxCensusCounters] = {};
-  for (int i = 0; i < traits::kCounters; ++i) {
-    totals[i] = start->totals[static_cast<std::size_t>(i)];
-  }
-  edge_class_census ecensus;
-  if constexpr (kEdgeCensus) ecensus = start->ecensus;
-  if constexpr (Probe::enabled) {
-    expects(probe != nullptr, "run_silent: enabled probe type needs a probe");
-  }
-  const auto stable_now = [&] {
-    if constexpr (Probe::enabled) probe->on_predicate_evals(1);
-    if constexpr (kEdgeCensus) {
-      return traits::stable(totals, ecensus.pairs());
-    } else {
-      return traits::stable(totals);
-    }
-  };
-
-  std::vector<std::uint8_t> seen;
-  const bool census = options.state_census;
-  if (census) {
-    seen.assign(table.num_states(), 0);
-    for (const auto id : config) seen[id] = 1;
-  }
-
-  const std::uint64_t m = static_cast<std::uint64_t>(edges.pairs.size());
-  const std::uint64_t two_m = 2 * m;
-  const auto* const pairs = edges.pairs.data();
-
-  // Activity of oriented pair k under the *current* config: k < m is edge k
-  // in stored orientation (initiator = a), k >= m is edge k - m flipped.
+  // Activity of oriented pair k under the *current* config.
   const auto pair_active = [&](std::uint64_t k) {
-    const bool flip = k >= m;
-    const auto pr = pairs[flip ? k - m : k];
-    const W ca = config[static_cast<std::size_t>(flip ? pr.b : pr.a)];
-    const W cb = config[static_cast<std::size_t>(flip ? pr.a : pr.b)];
+    const detail::drawn_pair p = pairs.at(k);
+    const W ca = config[p.u];
+    const W cb = config[p.v];
     const packed_entry<W> e = table.at(ca, cb);
     return e.a2 != ca || e.b2 != cb;
   };
 
-  active_pair_set active(two_m);
-  for (std::uint64_t k = 0; k < two_m; ++k) {
+  active_pair_set active(pairs.two_m);
+  for (std::uint64_t k = 0; k < pairs.two_m; ++k) {
     active.set(static_cast<std::uint32_t>(k), pair_active(k));
   }
   // Re-evaluates both orientations of every edge incident to v.  An edge
@@ -226,24 +180,14 @@ election_result run_silent(const compiled_protocol<P>& compiled,
   const auto reeval_node = [&](std::size_t v) {
     for (const std::uint32_t j : adj.row(v)) {
       active.set(j, pair_active(j));
-      active.set(j + static_cast<std::uint32_t>(m),
-                 pair_active(j + static_cast<std::uint64_t>(m)));
+      active.set(j + static_cast<std::uint32_t>(m), pair_active(j + m));
     }
   };
 
   block_rng draw(gen);
-  election_result result;
   std::uint64_t steps = 0;
-  const auto capped = [&](std::uint64_t at) {
-    result.steps = at;
-    if (census) {
-      for (const auto s : seen) result.distinct_states_used += s;
-    }
-    return result;
-  };
-
-  while (!stable_now()) {
-    if (steps >= options.max_steps) return capped(steps);
+  while (!run.stable()) {
+    if (steps >= options.max_steps) return run.finish(steps, false);
     const std::uint64_t remaining = options.max_steps - steps;
     const std::uint64_t a = active.size();
     if (a == 0) {
@@ -251,72 +195,40 @@ election_result run_silent(const compiled_protocol<P>& compiled,
       // silent.  (With the default unbounded budget this is the reference
       // engine's forever-spin, delivered in O(1).)
       if constexpr (Probe::enabled) probe->on_steps(remaining, 0);
-      return capped(options.max_steps);
+      return run.finish(options.max_steps, false);
     }
     const std::uint64_t skip = sample_silent_run(
-        [&] { return draw.uniform01(); }, a, two_m, remaining);
+        [&] { return draw.uniform01(); }, a, pairs.two_m, remaining);
     if constexpr (Probe::enabled) probe->on_draws(1);
     if (skip >= remaining) {
       if constexpr (Probe::enabled) probe->on_steps(remaining, 0);
-      return capped(options.max_steps);
+      return run.finish(options.max_steps, false);
     }
     // The active step after the silent run: uniform over the active list.
-    const std::uint32_t k = active.at(draw.uniform_below(a));
+    const detail::drawn_pair p = pairs.at(active.at(draw.uniform_below(a)));
     if constexpr (Probe::enabled) probe->on_draws(1);
-    const bool flip = k >= m;
-    const auto pr = pairs[flip ? k - m : k];
-    const auto u = static_cast<std::size_t>(flip ? pr.b : pr.a);
-    const auto v = static_cast<std::size_t>(flip ? pr.a : pr.b);
-    const W ca = config[u];
-    const W cb = config[v];
+    const W ca = config[p.u];
+    const W cb = config[p.v];
     const packed_entry<W> e = table.at(ca, cb);
-    config[u] = e.a2;
-    config[v] = e.b2;
     steps += skip + 1;
     if constexpr (Probe::enabled) probe->on_steps(skip + 1, 1);
-    if (census) {
-      if (e.a2 != ca) seen[e.a2] = 1;
-      if (e.b2 != cb) seen[e.b2] = 1;
-    }
-    bool moved = e.delta_nonzero();
-    if constexpr (kEdgeCensus) {
-      if (e.a2 != ca) {
-        moved |= ecensus.reclass(*adjacency, u, compiled.state_class(e.a2));
-      }
-      if (e.b2 != cb) {
-        moved |= ecensus.reclass(*adjacency, v, compiled.state_class(e.b2));
-      }
-    }
-    if (e.delta_nonzero()) {
-      for (int c = 0; c < traits::kCounters; ++c) {
-        totals[c] += e.delta_of(c);
-      }
-    }
+    const bool moved = run.apply(p.u, p.v, ca, cb, e);
     // Membership re-evaluation after both words are stored; the drawn pair
     // itself is covered by its endpoints' walks.
-    if (e.a2 != ca) reeval_node(u);
-    if (e.b2 != cb) reeval_node(v);
+    if (e.a2 != ca) reeval_node(p.u);
+    if (e.b2 != cb) reeval_node(p.v);
+    run.sample(steps);
     if constexpr (Probe::enabled) {
-      if (probe->want_census(steps)) {
-        probe->on_census(steps, totals, traits::kCounters);
-      }
       if (probe->want_active_set(steps)) {
         probe->on_active_set(steps, active.size());
       }
     }
-    if (moved && stable_now()) break;
+    if (moved && run.stable()) break;
     // Loop condition re-checks stability; `moved == false` steps (pure
     // state swaps) cannot flip the predicate, and the while-condition's
     // extra evaluation keeps the loop structure simple.
   }
-
-  result.stabilized = true;
-  result.steps = steps;
-  if (census) {
-    for (const auto s : seen) result.distinct_states_used += s;
-  }
-  result.leader = elected_leader_compiled(config, compiled, old_of_new);
-  return result;
+  return run.finish(steps, true);
 }
 
 }  // namespace pp

@@ -1,12 +1,13 @@
 // Compile-time-gated engine probes: per-run phase telemetry with a strict
 // zero-cost contract.
 //
-// Every engine loop (run_compiled, run_packed, the wellmixed batch loop)
-// takes a `Probe` template parameter, defaulting to `null_probe`, plus a
-// trailing `Probe* probe = nullptr` argument.  Each hook call site is
-// guarded with `if constexpr (Probe::enabled)`, so with the default probe
-// the instrumentation compiles to nothing — same codegen as before the
-// probes existed (bench/obs.cpp gates the disabled path at <= 1% of the
+// Every engine loop (the step loop behind run_compiled and run_packed,
+// run_silent, the wellmixed batch loop) takes a `Probe` template parameter,
+// defaulting to `null_probe`, plus a trailing `Probe* probe = nullptr`
+// argument.  Each hook call site is guarded with
+// `if constexpr (Probe::enabled)`, so with the default probe the
+// instrumentation compiles to nothing — same codegen as before the probes
+// existed (bench/obs.cpp gates the disabled path at <= 1% of the
 // un-instrumented step rate) — and probes never feed back into the
 // simulation: enabling any probe is bit-identical in steps/leader/census
 // for a given seed (tests/test_obs.cpp matrix).

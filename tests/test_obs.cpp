@@ -3,7 +3,8 @@
 //     for a given seed, running any engine with a full run_probe is
 //     bit-identical (stabilized/steps/leader/census) to the default
 //     null_probe run, across the fast/star × {clique, cycle, star} ×
-//     {u8, u16, u32} matrix and the well-mixed batch engine;
+//     {u8, u16, u32} matrix and the well-mixed batch engine, and the lazy
+//     layout's probe books equal the packed layout's on the same table;
 //   * probe accounting — steps split into silent vs active, census samples
 //     ascend and respect the stride, the thinning cap bounds the vector;
 //   * histogram bucket boundaries (bucket_of == bit_width) and merging;
@@ -60,12 +61,13 @@ void expect_probe_invisible(const P& proto, const sim_options& options,
       widths.push_back(8);
     }
 
+    const edge_endpoints edges(g);
     rng seed(seed_base);
     for (std::uint64_t t = 0; t < 3; ++t) {
       for (const int bits : widths) {
         const tuned_runner<P> runner(proto, g, {vertex_order::natural, bits});
         const election_result plain = runner.run(seed.fork(t), options);
-        obs::run_probe probe(64);
+        obs::run_probe probe(64, 256);
         const election_result probed =
             runner.run(seed.fork(t), options, &probe);
         ASSERT_EQ(plain.stabilized, probed.stabilized)
@@ -89,6 +91,34 @@ void expect_probe_invisible(const P& proto, const sim_options& options,
           ASSERT_LE(s.step, probed.steps) << name << " u" << bits;
           prev = s.step;
         }
+
+        // The lazy layout (run_compiled) on the same closed table keeps the
+        // packed run's books entry for entry: both layouts drive one step
+        // loop, so they must report the same steps, draws, predicate
+        // evaluations, census samples and windows.
+        obs::run_probe lazy_probe(64, 256);
+        const election_result lazy = run_compiled(
+            compiled, edges, g, seed.fork(t), options, nullptr, &lazy_probe);
+        ASSERT_EQ(lazy.steps, probed.steps) << name << " u" << bits;
+        ASSERT_EQ(lazy.leader, probed.leader) << name << " u" << bits;
+        probe.finish();
+        lazy_probe.finish();
+        const obs::probe_stats& ls = lazy_probe.stats();
+        ASSERT_EQ(ls.steps, st.steps) << name << " u" << bits;
+        ASSERT_EQ(ls.active_steps, st.active_steps) << name << " u" << bits;
+        ASSERT_EQ(ls.predicate_evals, st.predicate_evals)
+            << name << " u" << bits;
+        ASSERT_EQ(ls.rng_draws, st.rng_draws) << name << " u" << bits;
+        ASSERT_EQ(ls.table_fills, st.table_fills) << name << " u" << bits;
+        ASSERT_EQ(ls.census.size(), st.census.size()) << name << " u" << bits;
+        for (std::size_t i = 0; i < st.census.size(); ++i) {
+          ASSERT_EQ(ls.census[i].step, st.census[i].step) << name << " u" << bits;
+          ASSERT_EQ(ls.census[i].counters, st.census[i].counters);
+          ASSERT_EQ(ls.census[i].totals, st.census[i].totals)
+              << name << " u" << bits << " sample " << i;
+        }
+        ASSERT_EQ(ls.windows, st.windows) << name << " u" << bits;
+        ASSERT_EQ(ls.windows_closed, st.windows_closed) << name << " u" << bits;
       }
     }
   }

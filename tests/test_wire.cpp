@@ -6,7 +6,7 @@
 // a corrupt frame deterministically.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
 #include <vector>
 
 #include "fleet/wire.h"
@@ -41,7 +41,10 @@ TEST(Wire, RoundTripsPayloadsOfManySizes) {
     ASSERT_EQ(status, wire::decode_status::ok) << n << " byte payload";
     ASSERT_EQ(view.payload_length, n);
     EXPECT_EQ(view.frame_bytes, framed.size());
-    EXPECT_EQ(std::memcmp(view.payload, payload.data(), n), 0);
+    // std::equal, not memcmp: the empty payload's data() is null, which
+    // memcmp must not be passed even for a zero length.
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(), view.payload))
+        << n << " byte payload";
   }
 }
 
