@@ -5,6 +5,7 @@
 //   1. Determinism: the merged summary of a fleet sweep is *identical* —
 //      every statistic, bit for bit — to a serial in-process sweep
 //      (measure_election_tuned / measure_election_wellmixed on one thread)
+//      of the same trial function
 //      over the same seed list, for every worker count, on both the
 //      per-interaction tuned engine and the well-mixed batch engine.  This
 //      is the seed-partition contract of the supervised fleet (records
@@ -87,6 +88,7 @@ int run() {
     const double b = estimate_worst_case_broadcast_time(g, 10, 4, rng(11)).value;
     const fast_protocol proto(fast_params::practical(g, b));
     const tuned_runner<fast_protocol> runner(proto, g);
+    const fleet::trial_fn trial = [&](std::uint64_t, rng gen) { return runner.run(gen); };
     const election_summary serial =
         measure_election_tuned(runner, trials_ring, rng(7), {}, 1);
     for (const int jobs : job_counts) {
@@ -96,7 +98,8 @@ int run() {
       c.trials = trials_ring;
       c.jobs = jobs;
       bench::stopwatch timer;
-      const auto summary = measure_election_fleet(runner, trials_ring, rng(7), {}, jobs);
+      const auto summary = summarize_election_results(fleet::supervised_fleet_run(
+          static_cast<std::uint64_t>(trials_ring), rng(7), trial, jobs, {}));
       c.seconds = timer.seconds();
       c.equal_summary = same_summary(summary, serial);
       determinism_ok = determinism_ok && c.equal_summary;
@@ -118,8 +121,10 @@ int run() {
       c.trials = trials_wm;
       c.jobs = jobs;
       bench::stopwatch timer;
-      const auto summary =
-          measure_election_fleet_wellmixed(proto, n_wm, trials_wm, rng(13), {}, jobs);
+      const wellmixed_sweep<fast_protocol> sweep(proto, n_wm);
+      const auto summary = summarize_election_results(fleet::supervised_fleet_run(
+          static_cast<std::uint64_t>(trials_wm), rng(13),
+          [&](std::uint64_t, rng gen) { return sweep.run(gen); }, jobs, {}));
       c.seconds = timer.seconds();
       c.equal_summary = same_summary(summary, serial);
       determinism_ok = determinism_ok && c.equal_summary;
@@ -139,11 +144,13 @@ int run() {
     const double b = estimate_worst_case_broadcast_time(g, 10, 4, rng(11)).value;
     const fast_protocol proto(fast_params::practical(g, b));
     const tuned_runner<fast_protocol> runner(proto, g);
+    const fleet::trial_fn trial = [&](std::uint64_t, rng gen) { return runner.run(gen); };
     const std::string journal_path = "BENCH_fleet.ppaj";
     election_summary plain, journaled;
     for (int rep = 0; rep < 2; ++rep) {
       bench::stopwatch plain_timer;
-      plain = measure_election_fleet(runner, trials_ring, rng(7), {}, 2);
+      plain = summarize_election_results(fleet::supervised_fleet_run(
+          static_cast<std::uint64_t>(trials_ring), rng(7), trial, 2, {}));
       const double ps = plain_timer.seconds();
       if (rep == 0 || ps < sup_plain_s) sup_plain_s = ps;
 
@@ -151,8 +158,8 @@ int run() {
       with_journal.journal_path = journal_path;
       with_journal.journal_tag = 7;
       bench::stopwatch journal_timer;
-      journaled = measure_election_fleet(runner, trials_ring, rng(7), {}, 2,
-                                         with_journal);
+      journaled = summarize_election_results(fleet::supervised_fleet_run(
+          static_cast<std::uint64_t>(trials_ring), rng(7), trial, 2, with_journal));
       const double js = journal_timer.seconds();
       if (rep == 0 || js < sup_journal_s) sup_journal_s = js;
     }
@@ -200,8 +207,9 @@ int run() {
       // its seed generator as rng(manifest.seed).fork(2) (worker_manifest
       // contract), so the fork baseline must start from the same generator
       // for the summaries to be byte-identical.
-      forked = measure_election_fleet(runner, trials_ring, rng(7).fork(2), {},
-                                      2);
+      forked = summarize_election_results(fleet::supervised_fleet_run(
+          static_cast<std::uint64_t>(trials_ring), rng(7).fork(2),
+          [&](std::uint64_t, rng gen) { return runner.run(gen); }, 2, {}));
       const double fs = fork_timer.seconds();
       if (rep == 0 || fs < fork_s) fork_s = fs;
 

@@ -40,6 +40,7 @@
 #include "bench_common.h"
 #include "core/fast_election.h"
 #include "engine/engine.h"
+#include "fleet/supervisor.h"
 #include "graph/generators.h"
 #include "obs/probe.h"
 
@@ -172,10 +173,14 @@ int run() {
   double sup_plain_s = 0, sup_progress_s = 0;
   {
     const int sup_trials = bench::scaled(16);
+    const fleet::trial_fn trial = [&](std::uint64_t, rng gen) {
+      return runner.run(gen, options);
+    };
     election_summary plain_sum, progressed_sum;
     for (int rep = 0; rep < 2; ++rep) {
       bench::stopwatch plain_timer;
-      plain_sum = measure_election_fleet(runner, sup_trials, rng(7), options, 2);
+      plain_sum = summarize_election_results(fleet::supervised_fleet_run(
+          static_cast<std::uint64_t>(sup_trials), rng(7), trial, 2, {}));
       const double s = plain_timer.seconds();
       if (rep == 0 || s < sup_plain_s) sup_plain_s = s;
 
@@ -183,8 +188,8 @@ int run() {
       with_progress.progress = true;
       with_progress.progress_interval_ms = 200;
       bench::stopwatch progress_timer;
-      progressed_sum = measure_election_fleet(runner, sup_trials, rng(7),
-                                              options, 2, with_progress);
+      progressed_sum = summarize_election_results(fleet::supervised_fleet_run(
+          static_cast<std::uint64_t>(sup_trials), rng(7), trial, 2, with_progress));
       const double gs = progress_timer.seconds();
       if (rep == 0 || gs < sup_progress_s) sup_progress_s = gs;
     }

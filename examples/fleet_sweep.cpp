@@ -4,11 +4,12 @@
 // The flow mirrors what `popsim --jobs W --save-artifact F` automates:
 //   1. build the protocol + graph and resolve the engine layout once
 //      (tuned_runner: closed table, packed snapshot, reorder permutation);
-//   2. snapshot it into a sweep_artifact and save/load it — the load
-//      validates the rebuild byte-for-byte, so version-skewed workers fail
-//      loudly instead of silently diverging;
-//   3. run the same seed list serially and through forked workers under
-//      the fleet supervisor, and check the summaries match *exactly*
+//   2. snapshot it into a sweep_artifact, save it and rebuild it with
+//      prepare_sweep — the rebuild every worker runs, validated
+//      byte-for-byte, so version-skewed workers fail loudly instead of
+//      silently diverging;
+//   3. run the same trial function serially (measure_trials) and through
+//      forked workers under the fleet supervisor, and check the summaries match *exactly*
 //      (seed-partition determinism: trial t always runs seed_gen.fork(t),
 //      records merge by trial index);
 //   4. record that supervised sweep with the flight recorder (src/obs/) —
@@ -44,13 +45,8 @@ int main() {
       pp::fleet::make_tuned_artifact(runner, g, "cycle",
                                      pp::fleet::fast_desc(proto.params())),
       path);
-  const auto artifact = pp::fleet::load_artifact(path);
-  const pp::fast_protocol rebuilt_proto(
-      pp::fleet::fast_params_of(artifact.protocol));
-  const pp::graph rebuilt_g = pp::fleet::rebuild_graph(*artifact.graph);
-  const pp::tuned_runner<pp::fast_protocol> rebuilt(
-      rebuilt_proto, rebuilt_g, pp::fleet::tuning_of(artifact));
-  pp::fleet::validate_tuned_artifact(artifact, rebuilt);
+  const pp::fleet::prepared_sweep rebuilt =
+      pp::fleet::prepare_sweep(pp::fleet::load_artifact(path));
   std::printf("artifact: %s round-tripped and validated (closed table, "
               "packed snapshot, graph)\n", path.c_str());
 
@@ -66,9 +62,12 @@ int main() {
   pp::fleet::supervise_options sup;
   sup.metrics = &metrics;
   sup.trace = &trace;
-  const auto serial = pp::measure_election_tuned(rebuilt, trials, pp::rng(7));
-  const auto fleet =
-      pp::measure_election_fleet(rebuilt, trials, pp::rng(7), {}, 2, sup);
+  const pp::fleet::trial_fn trial = [&](std::uint64_t, pp::rng gen) {
+    return rebuilt.run(gen, {}, nullptr);
+  };
+  const auto serial = pp::measure_trials(trials, pp::rng(7), trial);
+  const auto fleet = pp::summarize_election_results(
+      pp::fleet::supervised_fleet_run(trials, pp::rng(7), trial, 2, sup));
   std::printf("serial: mean %.0f steps over %zu stabilized trials\n",
               serial.steps.mean, serial.steps.count);
   std::printf("fleet (2 workers): mean %.0f steps over %zu stabilized trials\n",

@@ -93,13 +93,18 @@
 //
 // Runs the chosen election, prints a summary, and emits the final
 // configuration as Graphviz DOT on request via POPSIM_DOT=1 — handy for
-// scripting sweeps beyond what the bench binaries cover.
+// scripting sweeps beyond what the bench binaries cover.  Every mode is one
+// fleet::prepared_sweep (a trial function plus the facts the report prints)
+// handed to one executor: measure_trials in-process, or the fleet supervisor
+// (--jobs, --hosts and the supervision flags).  --worker, --load-artifact
+// and --serve rebuild it from the artifact through fleet::prepare_sweep.
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -532,159 +537,100 @@ pp::election_summary run_fleet(const std::string& artifact_path,
   return pp::summarize_election_results(results);
 }
 
-void print_graph_summary(const pp::election_summary& summary, int trials,
-                         pp::node_id sample_leader) {
+// The report's header, printed before the trials run: the graph (or, on the
+// well-mixed engine, the population) and the compiled engine's layout, which
+// the reference-simulator sweeps (protocols id and six) lack: pack_bits 0.
+// The scheduler suffix appears only when non-default, so step-scheduler
+// stdout stays byte-identical to earlier builds.
+void print_header(const pp::fleet::prepared_sweep& sweep,
+                  const pp::sim_options& options) {
+  if (sweep.g == nullptr) {
+    std::printf("well-mixed clique: n=%llu (multiset configuration, no edge list)\n",
+                static_cast<unsigned long long>(sweep.population));
+    return;
+  }
+  const pp::graph& g = *sweep.g;
+  std::printf("graph: %s n=%d m=%lld Δ=%d\n", sweep.family.c_str(), g.num_nodes(),
+              static_cast<long long>(g.num_edges()), g.max_degree());
+  if (sweep.pack_bits == 0) return;
+  std::printf("engine: order=%s pack=u%d%s%s\n", pp::to_string(sweep.order),
+              sweep.pack_bits,
+              sweep.packed ? "" : " (lazy fallback: |Lambda| beyond the closure budget)",
+              options.scheduler == pp::scheduler_kind::silent
+                  ? " scheduler=silent"
+                  : "");
+}
+
+// The report's body: the summary and, on a graph, the leader of the sample
+// trial run on `sample_gen` plus, with POPSIM_DOT=1, the final configuration
+// as Graphviz DOT.  Agents of the well-mixed engine are exchangeable, so it
+// reports no node id: a stabilized trial has exactly one leader by the
+// tracker's predicate.
+void print_report(const pp::fleet::prepared_sweep& sweep,
+                  const pp::sim_options& options,
+                  const pp::election_summary& summary, int trials,
+                  pp::rng sample_gen) {
   std::printf("stabilized: %.0f%% of %d trials\n",
               100.0 * summary.stabilized_fraction, trials);
+  if (sweep.g == nullptr) {
+    if (summary.steps.count > 0) {
+      std::printf("steps: mean %.3g (sd %.2g, median %.3g, [q10,q90]=[%.3g, %.3g])\n",
+                  summary.steps.mean, summary.steps.stddev, summary.steps.median,
+                  summary.steps.q10, summary.steps.q90);
+    }
+    if (summary.stabilized_fraction > 0) {
+      std::printf("stabilized trials elected a unique leader\n");
+    }
+    return;
+  }
   if (summary.steps.count > 0) {
     std::printf("steps: mean %.0f (sd %.0f, median %.0f, [q10,q90]=[%.0f, %.0f])\n",
                 summary.steps.mean, summary.steps.stddev, summary.steps.median,
                 summary.steps.q10, summary.steps.q90);
   }
-  std::printf("sample leader: node %d\n", sample_leader);
-}
-
-void print_wellmixed_summary(const pp::election_summary& summary, int trials) {
-  std::printf("stabilized: %.0f%% of %d trials\n",
-              100.0 * summary.stabilized_fraction, trials);
-  if (summary.steps.count > 0) {
-    std::printf("steps: mean %.3g (sd %.2g, median %.3g, [q10,q90]=[%.3g, %.3g])\n",
-                summary.steps.mean, summary.steps.stddev, summary.steps.median,
-                summary.steps.q10, summary.steps.q90);
-  }
-  // A stabilized trial has exactly one leader by the tracker's predicate;
-  // agents are exchangeable, so there is no node id to report.
-  if (summary.stabilized_fraction > 0) {
-    std::printf("stabilized trials elected a unique leader\n");
-  }
-}
-
-// Serial-or-fleet well-mixed sweep + report, shared by the classic and
-// artifact entry points (P is fast_protocol or beauquier_protocol).
-template <typename P>
-int run_wellmixed_mode(const P& proto, std::uint64_t n, const cli_config& cfg,
-                       const char* argv0, const std::string& family,
-                       const std::string& loaded_path) {
-  pp::rng seed(cfg.seed);
-  const int trial_count = static_cast<int>(cfg.trials);
-  const pp::sim_options options;
-  pp::election_summary summary;
-  std::string artifact_path = loaded_path;
-  std::optional<temp_file> temp_artifact;
-  if (artifact_path.empty() &&
-      (cfg.jobs > 1 || cfg.supervised() || !cfg.save_path.empty())) {
-    const auto initial = pp::initial_multiset(proto, n);
-    pp::fleet::protocol_desc desc;
-    if constexpr (std::is_same_v<P, pp::fast_protocol>) {
-      desc = pp::fleet::fast_desc(proto.params());
-    } else {
-      desc = pp::fleet::six_desc(proto.num_nodes());
-    }
-    const auto artifact =
-        pp::fleet::make_wellmixed_artifact(proto, initial, n, family, desc);
-    artifact_path = cfg.save_path;
-    if (artifact_path.empty()) {
-      artifact_path = temp_artifact.emplace("artifact.ppaf").path();
-    }
-    pp::fleet::save_artifact(artifact, artifact_path);
-  }
-  if (cfg.jobs > 1 || cfg.supervised()) {
-    // Degraded-mode fallback: the sweep object is built lazily so the happy
-    // path (no worker ever exhausts the retry budget) pays nothing for it.
-    std::optional<pp::wellmixed_sweep<P>> sweep_cache;
-    const pp::fleet::trial_fn inline_fn = [&](std::uint64_t, pp::rng gen) {
-      if (!sweep_cache) sweep_cache.emplace(proto, n);
-      return sweep_cache->run(gen, options);
-    };
-    summary = run_fleet(artifact_path, cfg, argv0, options, inline_fn);
-  } else {
-    summary = pp::measure_election_wellmixed(proto, n, trial_count, seed.fork(2));
-  }
-  std::printf("well-mixed clique: n=%llu (multiset configuration, no edge list)\n",
-              static_cast<unsigned long long>(n));
-  print_wellmixed_summary(summary, trial_count);
-  return 0;
-}
-
-// The tuned engine's sim_options per protocol kind: the star protocol can
-// deadlock with several leaders on general graphs (the tracker then never
-// fires), so its runs are step-capped; the fast protocol always stabilizes.
-// Shared by the classic, --load-artifact and --worker paths so a sweep's
-// stdout never depends on which of them produced it.
-pp::sim_options tuned_options(pp::fleet::protocol_kind kind) {
-  pp::sim_options options;
-  if (kind == pp::fleet::protocol_kind::star) options.max_steps = 1'000'000;
-  return options;
-}
-
-// Constructs the tuned-engine protocol a descriptor names and invokes fn
-// with it — the single protocol_kind -> type mapping for every artifact
-// consumer (--worker and --load-artifact; the classic path builds its
-// protocols from the positional arguments instead).
-template <typename Fn>
-auto with_artifact_protocol(const pp::fleet::protocol_desc& desc, Fn&& fn) {
-  using pp::fleet::protocol_kind;
-  pp::expects(desc.kind == protocol_kind::fast || desc.kind == protocol_kind::star,
-              "popsim: tuned artifacts carry the fast or star protocol");
-  if (desc.kind == protocol_kind::star) {
-    pp::fleet::expect_star_desc(desc);
-    return fn(pp::star_protocol{});
-  }
-  return fn(pp::fast_protocol(pp::fleet::fast_params_of(desc)));
-}
-
-// Serial-or-fleet tuned-engine sweep + report over a prepared runner; the
-// artifact (when needed) snapshots exactly this runner.  P is any
-// compilable protocol the tuned engine serves (fast_protocol, star_protocol).
-template <typename P>
-int run_tuned_mode(const pp::tuned_runner<P>& runner,
-                   const pp::fleet::protocol_desc& desc, const pp::graph& g,
-                   const cli_config& cfg, const char* argv0,
-                   const std::string& family, const std::string& loaded_path) {
-  pp::rng seed(cfg.seed);
-  const int trial_count = static_cast<int>(cfg.trials);
-  pp::sim_options options = tuned_options(desc.kind);
-  if (cfg.engine == "silent") options.scheduler = pp::scheduler_kind::silent;
-  std::printf("graph: %s n=%d m=%lld Δ=%d\n", family.c_str(), g.num_nodes(),
-              static_cast<long long>(g.num_edges()), g.max_degree());
-  // The scheduler suffix appears only when non-default, so every existing
-  // step-scheduler invocation's stdout stays byte-identical (the serial-vs-
-  // fleet diff gates depend on that).
-  std::printf("engine: order=%s pack=u%d%s%s\n", pp::to_string(runner.order()),
-              runner.pack_bits(),
-              runner.packed() ? "" : " (lazy fallback: |Lambda| beyond the closure budget)",
-              options.scheduler == pp::scheduler_kind::silent
-                  ? " scheduler=silent"
-                  : "");
-
-  std::string artifact_path = loaded_path;
-  std::optional<temp_file> temp_artifact;
-  if (artifact_path.empty() &&
-      (cfg.jobs > 1 || cfg.supervised() || !cfg.save_path.empty())) {
-    const auto artifact = pp::fleet::make_tuned_artifact(runner, g, family, desc);
-    artifact_path = cfg.save_path;
-    if (artifact_path.empty()) {
-      artifact_path = temp_artifact.emplace("artifact.ppaf").path();
-    }
-    pp::fleet::save_artifact(artifact, artifact_path);
-  }
-  pp::election_summary summary;
-  if (cfg.jobs > 1 || cfg.supervised()) {
-    const pp::fleet::trial_fn inline_fn = [&](std::uint64_t, pp::rng gen) {
-      return runner.run(gen, options);
-    };
-    summary = run_fleet(artifact_path, cfg, argv0, options, inline_fn);
-  } else {
-    summary = pp::measure_election_tuned(runner, trial_count, seed.fork(2), options);
-  }
-  const pp::node_id sample_leader = runner.run(seed.fork(3), options).leader;
-  print_graph_summary(summary, trial_count, sample_leader);
-
+  const pp::node_id leader = sweep.run(sample_gen, options, nullptr).leader;
+  std::printf("sample leader: node %d\n", leader);
   if (const char* dot = std::getenv("POPSIM_DOT"); dot != nullptr && dot[0] == '1') {
-    std::vector<bool> leaders(static_cast<std::size_t>(g.num_nodes()), false);
-    if (sample_leader >= 0) leaders[static_cast<std::size_t>(sample_leader)] = true;
-    std::fputs(pp::to_dot(g, leaders).c_str(), stdout);
+    std::vector<bool> leaders(static_cast<std::size_t>(sweep.g->num_nodes()), false);
+    if (leader >= 0) leaders[static_cast<std::size_t>(leader)] = true;
+    std::fputs(pp::to_dot(*sweep.g, leaders).c_str(), stdout);
   }
+}
+
+// The one popsim sweep: prints the header, runs the trials — serially
+// through measure_trials, or sharded through run_fleet with the same trial
+// function as its inline fallback — and prints the report.  The artifact is
+// written only when a fleet sweep or --save-artifact needs it, and never
+// for a sweep loaded from one (`loaded_path`).
+int run_sweep(const pp::fleet::prepared_sweep& sweep, const cli_config& cfg,
+              const char* argv0, const std::string& loaded_path) {
+  const pp::rng seed(cfg.seed);
+  const int trials = static_cast<int>(cfg.trials);
+  // The star protocol can deadlock with several leaders on general graphs
+  // (the tracker then never fires), so its runs are step-capped; the fast
+  // protocol always stabilizes.  Workers receive these options through the
+  // manifest, so a sweep's stdout never depends on which path ran it.
+  pp::sim_options options;
+  if (sweep.protocol.kind == pp::fleet::protocol_kind::star) options.max_steps = 1'000'000;
+  if (cfg.engine == "silent") options.scheduler = pp::scheduler_kind::silent;
+  print_header(sweep, options);
+
+  const pp::fleet::trial_fn trial = [&](std::uint64_t, pp::rng gen) {
+    return sweep.run(gen, options, nullptr);
+  };
+  const bool fleet = cfg.jobs > 1 || cfg.supervised();
+  std::string artifact_path = loaded_path;
+  std::optional<temp_file> temp_artifact;
+  if (artifact_path.empty() && (fleet || !cfg.save_path.empty())) {
+    artifact_path = cfg.save_path.empty()
+                        ? temp_artifact.emplace("artifact.ppaf").path()
+                        : cfg.save_path;
+    pp::fleet::save_artifact(sweep.snapshot(), artifact_path);
+  }
+  const pp::election_summary summary =
+      fleet ? run_fleet(artifact_path, cfg, argv0, options, trial)
+            : pp::measure_trials(trials, seed.fork(2), trial);
+  print_report(sweep, options, summary, trials, seed.fork(3));
   return 0;
 }
 
@@ -716,17 +662,18 @@ struct worker_obs {
   }
   bool on() const { return !metrics_path.empty() || !trace_path.empty(); }
 
-  // Runs one trial through `run(gen, probe)`; `run` must accept either a
-  // null_probe* (observability off: the engines' zero-cost path) or a
-  // run_probe* whose stats are rolled into the sidecars.
-  template <typename RunFn>
-  pp::election_result trial(std::uint64_t t, pp::rng gen, RunFn&& run) {
-    if (!on()) return run(gen, static_cast<pp::obs::null_probe*>(nullptr));
+  // Runs one trial of `sweep`; unobserved, on the engines' zero-cost
+  // null_probe path, otherwise with a run_probe whose stats are rolled into
+  // the sidecars.
+  pp::election_result trial(std::uint64_t t, pp::rng gen,
+                            const pp::fleet::prepared_sweep& sweep,
+                            const pp::sim_options& options) {
+    if (!on()) return sweep.run(gen, options, nullptr);
     // Windows close every 64 strides of steps — boundaries live on the
     // deterministic step counter, so the ring is bit-identical across reruns.
     pp::obs::run_probe probe(stride, stride * 64);
     const std::int64_t t0 = pp::obs::trace_now_us();
-    const pp::election_result r = run(gen, &probe);
+    const pp::election_result r = sweep.run(gen, options, &probe);
     const std::int64_t t1 = pp::obs::trace_now_us();
     probe.finish();
     const pp::obs::probe_stats& st = probe.stats();
@@ -806,54 +753,18 @@ int worker_main(int argc, char** argv) {
     const pp::fleet::trial_range range{base, count};
     const pp::fleet::fault_injector injector(faults, static_cast<int>(index));
     worker_obs obs;
-    const auto artifact = pp::fleet::load_artifact(manifest.artifact_path);
+    const auto sweep =
+        pp::fleet::prepare_sweep(pp::fleet::load_artifact(manifest.artifact_path));
     pp::sim_options options;
     options.max_steps = manifest.max_steps;
     options.wellmixed_batch = manifest.wellmixed_batch;
     options.scheduler = manifest.scheduler;
     // Trial t of the sweep uses rng(seed).fork(2).fork(t) — the exact
-    // generator the serial measure_election_* call hands it.
-    const pp::rng trial_gen = pp::rng(manifest.seed).fork(2);
-
-    if (artifact.engine == pp::fleet::artifact_engine::tuned) {
-      pp::expects(artifact.graph.has_value(),
-                  "popsim --worker: tuned artifact without a graph section");
-      const pp::graph g = pp::fleet::rebuild_graph(*artifact.graph);
-      with_artifact_protocol(artifact.protocol, [&]<typename P>(const P& proto) {
-        const pp::tuned_runner<P> runner(proto, g, pp::fleet::tuning_of(artifact));
-        pp::fleet::validate_tuned_artifact(artifact, runner);
-        pp::fleet::run_trial_block(
-            range, STDOUT_FILENO,
-            [&](std::uint64_t t, pp::rng gen) {
-              return obs.trial(t, gen, [&](pp::rng g, auto* probe) {
-                return runner.run(g, options, probe);
-              });
-            },
-            trial_gen, injector);
-      });
-      return 0;
-    }
-
-    pp::expects(artifact.wellmixed.has_value(),
-                "popsim --worker: well-mixed artifact without a multiset section");
-    const std::uint64_t n = artifact.wellmixed->population;
-    const auto run_wm = [&]<typename P>(const P& proto) {
-      const pp::wellmixed_sweep<P> sweep(proto, n);
-      pp::fleet::validate_wellmixed_artifact(artifact, proto, sweep.initial());
-      pp::fleet::run_trial_block(
-          range, STDOUT_FILENO,
-          [&](std::uint64_t t, pp::rng gen) {
-            return obs.trial(t, gen, [&](pp::rng g, auto* probe) {
-              return sweep.run(g, options, probe);
-            });
-          },
-          trial_gen, injector);
-    };
-    if (artifact.protocol.kind == pp::fleet::protocol_kind::fast) {
-      run_wm(pp::fast_protocol(pp::fleet::fast_params_of(artifact.protocol)));
-    } else {
-      run_wm(pp::beauquier_protocol(pp::fleet::six_population_of(artifact.protocol)));
-    }
+    // generator the serial sweep hands it.
+    pp::fleet::run_trial_block(
+        range, STDOUT_FILENO,
+        [&](std::uint64_t t, pp::rng gen) { return obs.trial(t, gen, sweep, options); },
+        pp::rng(manifest.seed).fork(2), injector);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "popsim --worker: %s\n", e.what());
@@ -870,37 +781,14 @@ int artifact_main(const cli_config& cfg, const char* argv0) {
     // by construction (the CI round-trip gate `cmp`s the two files).
     pp::fleet::save_artifact(artifact, cfg.save_path);
   }
-  if (artifact.engine == pp::fleet::artifact_engine::tuned) {
-    pp::expects(artifact.graph.has_value(),
-                "popsim: tuned artifact without a graph section");
-    const pp::graph g = pp::fleet::rebuild_graph(*artifact.graph);
-    return with_artifact_protocol(
-        artifact.protocol, [&]<typename P>(const P& proto) {
-          const pp::tuned_runner<P> runner(proto, g, pp::fleet::tuning_of(artifact));
-          pp::fleet::validate_tuned_artifact(artifact, runner);
-          return run_tuned_mode(runner, artifact.protocol, g, cfg, argv0,
-                                artifact.family, cfg.load_path);
-        });
-  }
-  pp::expects(artifact.wellmixed.has_value(),
-              "popsim: well-mixed artifact without a multiset section");
-  if (cfg.engine == "silent") {
+  if (artifact.engine == pp::fleet::artifact_engine::wellmixed &&
+      cfg.engine == "silent") {
     std::fprintf(stderr,
                  "popsim: --engine silent schedules graph interactions; this "
                  "artifact carries the well-mixed multiset engine\n");
     return usage();
   }
-  const std::uint64_t n = artifact.wellmixed->population;
-  if (artifact.protocol.kind == pp::fleet::protocol_kind::fast) {
-    const pp::fast_protocol proto(pp::fleet::fast_params_of(artifact.protocol));
-    pp::fleet::validate_wellmixed_artifact(artifact, proto,
-                                           pp::initial_multiset(proto, n));
-    return run_wellmixed_mode(proto, n, cfg, argv0, artifact.family, cfg.load_path);
-  }
-  const pp::beauquier_protocol proto(pp::fleet::six_population_of(artifact.protocol));
-  pp::fleet::validate_wellmixed_artifact(artifact, proto,
-                                         pp::initial_multiset(proto, n));
-  return run_wellmixed_mode(proto, n, cfg, argv0, artifact.family, cfg.load_path);
+  return run_sweep(pp::fleet::prepare_sweep(artifact), cfg, argv0, cfg.load_path);
 }
 
 }  // namespace
@@ -967,8 +855,7 @@ int main(int argc, char** argv) {
       return usage();
     }
 
-    pp::rng seed(cfg.seed);
-    const int trial_count = static_cast<int>(cfg.trials);
+    const pp::rng seed(cfg.seed);
 
     // --- well-mixed multiset engine: no graph object, clique only ---
     if (cfg.engine == "wellmixed") {
@@ -987,11 +874,15 @@ int main(int argc, char** argv) {
       const std::uint64_t n = n_value;
       if (protocol == "fast") {
         const pp::fast_protocol proto(pp::fast_params::practical_clique(n));
-        return run_wellmixed_mode(proto, n, cfg, argv[0], family_name, "");
+        return run_sweep(pp::fleet::prepare_wellmixed(proto, n, family_name,
+                                                      pp::fleet::fast_desc(proto.params())),
+                         cfg, argv[0], "");
       }
       if (protocol == "six") {
-        const pp::beauquier_protocol proto(static_cast<pp::node_id>(n));
-        return run_wellmixed_mode(proto, n, cfg, argv[0], family_name, "");
+        const auto agents = static_cast<pp::node_id>(n);
+        return run_sweep(pp::fleet::prepare_wellmixed(pp::beauquier_protocol(agents), n,
+                                                      family_name, pp::fleet::six_desc(agents)),
+                         cfg, argv[0], "");
       }
       std::fprintf(stderr,
                    "popsim: --engine wellmixed supports protocols fast|six\n");
@@ -1030,7 +921,7 @@ int main(int argc, char** argv) {
       return usage();
     }
     pp::rng make_gen = seed.fork(0);
-    const pp::graph g = family->make(n, make_gen);
+    pp::graph g = family->make(n, make_gen);
 
     if (compiled_engine) {
       // Tuned compiled engine (src/engine/): the runner resolves the data
@@ -1041,17 +932,18 @@ int main(int argc, char** argv) {
       // stability predicate counts undecided-undecided edges, maintained
       // incrementally alongside the node census.
       const auto tuned = [&]<typename P>(const P& proto,
-                                         const pp::fleet::protocol_desc& desc) {
-        std::optional<pp::tuned_runner<P>> prepared;
+                                         pp::fleet::protocol_desc desc) {
+        pp::fleet::prepared_sweep sweep;
         try {
-          prepared.emplace(proto, g, cfg.tuning);
+          sweep = pp::fleet::prepare_tuned(proto, std::move(g), cfg.tuning,
+                                           family_name, std::move(desc));
         } catch (const std::invalid_argument& e) {
           // e.g. --pack 8 when |Λ| > 256, or a forced width on an unclosable
           // table: report instead of aborting.
           std::fprintf(stderr, "popsim: %s\n", e.what());
           return usage();
         }
-        return run_tuned_mode(*prepared, desc, g, cfg, argv[0], family_name, "");
+        return run_sweep(sweep, cfg, argv[0], "");
       };
       if (protocol == "star") {
         return tuned(pp::star_protocol{}, pp::fleet::star_desc());
@@ -1062,32 +954,30 @@ int main(int argc, char** argv) {
       return tuned(proto, pp::fleet::fast_desc(proto.params()));
     }
 
-    std::printf("graph: %s n=%d m=%lld Δ=%d\n", family_name.c_str(), g.num_nodes(),
-                static_cast<long long>(g.num_edges()), g.max_degree());
-    pp::election_summary summary;
-    pp::node_id sample_leader = -1;
+    // Reference-simulator sweeps: the exact simulator (protocol id) and the
+    // event-driven Beauquier runner (protocol six).  No compiled layout, so
+    // they never reach the artifact or fleet paths (rejected above).
+    const auto shared = std::make_shared<const pp::graph>(std::move(g));
+    const pp::node_id nodes = shared->num_nodes();
+    pp::fleet::prepared_sweep sweep;
+    sweep.family = family_name;
+    sweep.g = shared;
+    sweep.population = static_cast<std::uint64_t>(nodes);
     if (protocol == "id") {
-      const pp::id_protocol proto(pp::id_protocol::suggested_k(g.num_nodes()));
-      summary = pp::measure_election(proto, g, trial_count, seed.fork(2));
-      sample_leader = pp::run_until_stable(proto, g, seed.fork(3)).leader;
+      sweep.run = [shared, proto = pp::id_protocol(pp::id_protocol::suggested_k(nodes))](
+                      pp::rng gen, const pp::sim_options& options, pp::obs::run_probe*) {
+        return pp::run_until_stable(proto, *shared, gen, options);
+      };
     } else if (protocol == "six") {
-      const pp::beauquier_protocol proto(g.num_nodes());
-      summary = pp::measure_beauquier_event_driven(proto, g, trial_count,
-                                                   seed.fork(2), UINT64_MAX);
-      sample_leader =
-          pp::run_beauquier_event_driven(proto, g, seed.fork(3), UINT64_MAX).leader;
+      sweep.run = [shared, proto = pp::beauquier_protocol(nodes)](
+                      pp::rng gen, const pp::sim_options& options, pp::obs::run_probe*) {
+        const auto r = pp::run_beauquier_event_driven(proto, *shared, gen, options.max_steps);
+        return pp::election_result{r.stabilized, r.steps, r.leader, 6};
+      };
     } else {
       return usage();
     }
-
-    print_graph_summary(summary, trial_count, sample_leader);
-
-    if (const char* dot = std::getenv("POPSIM_DOT"); dot != nullptr && dot[0] == '1') {
-      std::vector<bool> leaders(static_cast<std::size_t>(g.num_nodes()), false);
-      if (sample_leader >= 0) leaders[static_cast<std::size_t>(sample_leader)] = true;
-      std::fputs(pp::to_dot(g, leaders).c_str(), stdout);
-    }
-    return 0;
+    return run_sweep(sweep, cfg, argv[0], "");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "popsim: %s\n", e.what());
     return 1;

@@ -30,27 +30,14 @@ election_summary measure_beauquier_event_driven(const beauquier_protocol& proto,
                                                 rng seed_gen,
                                                 std::uint64_t max_steps,
                                                 std::size_t threads) {
-  std::vector<bq_run_result> results(static_cast<std::size_t>(trials));
-  parallel_for(
-      static_cast<std::size_t>(trials),
-      [&](std::size_t t) {
-        results[t] = run_beauquier_event_driven(proto, g, seed_gen.fork(t), max_steps);
+  return measure_trials(
+      trials, seed_gen,
+      [&](std::uint64_t, rng gen) {
+        const bq_run_result r = run_beauquier_event_driven(proto, g, gen, max_steps);
+        // The protocol has six states by construction.
+        return election_result{r.stabilized, r.steps, r.leader, 6};
       },
       threads);
-
-  election_summary summary;
-  std::vector<double> steps;
-  int stabilized = 0;
-  for (const bq_run_result& r : results) {
-    if (r.stabilized) {
-      ++stabilized;
-      steps.push_back(static_cast<double>(r.steps));
-    }
-  }
-  summary.stabilized_fraction = static_cast<double>(stabilized) / trials;
-  summary.max_states_used = 6;  // the protocol has six states by construction
-  if (!steps.empty()) summary.steps = summarize(steps);
-  return summary;
 }
 
 broadcast_summary measure_broadcast(const graph& g, const graph_family& family,

@@ -1,7 +1,13 @@
 // Multi-trial, multithreaded measurement of election and dynamics quantities.
 //
-// Every trial t of an experiment uses the generator seed_gen.fork(t), so the
-// estimates are reproducible regardless of thread count.
+// An election sweep is a trial function times an executor.  A trial
+// function is fn(trial, gen) -> election_result; the executors are the
+// in-process measure_trials below and the fleet supervisor
+// (fleet/supervisor.h: supervised_fleet_run, the exec and remote sweeps).
+// Every trial t of a sweep uses the generator seed_gen.fork(t) whichever
+// executor runs it, so the estimates are reproducible regardless of thread
+// or worker count.  The measure_election* functions are one-line adapters
+// that hand measure_trials one engine's trial function.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +19,6 @@
 #include "dynamics/epidemic.h"
 #include "engine/engine.h"
 #include "engine/wellmixed/wellmixed.h"
-#include "fleet/supervisor.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -30,19 +35,32 @@ struct election_summary {
 // Aggregates per-trial results into an election_summary.
 election_summary summarize_election_results(const std::vector<election_result>& results);
 
-// Runs `trials` independent elections of `proto` on `g` in parallel.
-template <typename P>
-election_summary measure_election(const P& proto, const graph& g, int trials,
-                                  rng seed_gen, const sim_options& options = {},
-                                  std::size_t threads = 0) {
+// The in-process executor: runs `trials` trials of `fn` in parallel on
+// `threads` threads (0 = all hardware threads), trial t as
+// fn(t, seed_gen.fork(t)), and summarizes them.
+template <typename Fn>
+election_summary measure_trials(int trials, rng seed_gen, Fn&& fn,
+                                std::size_t threads = 0) {
   std::vector<election_result> results(static_cast<std::size_t>(trials));
   parallel_for(
       static_cast<std::size_t>(trials),
       [&](std::size_t t) {
-        results[t] = run_until_stable(proto, g, seed_gen.fork(t), options);
+        results[t] = fn(static_cast<std::uint64_t>(t), seed_gen.fork(t));
       },
       threads);
   return summarize_election_results(results);
+}
+
+// Runs `trials` independent elections of `proto` on `g` on the reference
+// simulator.
+template <typename P>
+election_summary measure_election(const P& proto, const graph& g, int trials,
+                                  rng seed_gen, const sim_options& options = {},
+                                  std::size_t threads = 0) {
+  return measure_trials(
+      trials, seed_gen,
+      [&](std::uint64_t, rng gen) { return run_until_stable(proto, g, gen, options); },
+      threads);
 }
 
 // kEngineClosureBudget — the states the reachable closure may intern before
@@ -64,20 +82,14 @@ election_summary measure_election_fast(const P& proto, const graph& g, int trial
   for (node_id v = 0; v < g.num_nodes(); ++v) compiled.intern(proto.initial_state(v));
   const bool shared = compiled.close(kEngineClosureBudget);
   const edge_endpoints edges(g);
-
-  std::vector<election_result> results(static_cast<std::size_t>(trials));
-  parallel_for(
-      static_cast<std::size_t>(trials),
-      [&](std::size_t t) {
-        if (shared) {
-          results[t] = run_compiled(compiled, edges, g, seed_gen.fork(t), options);
-        } else {
-          compiled_protocol<P> local(proto);
-          results[t] = run_compiled(local, edges, g, seed_gen.fork(t), options);
-        }
+  return measure_trials(
+      trials, seed_gen,
+      [&](std::uint64_t, rng gen) {
+        if (shared) return run_compiled(compiled, edges, g, gen, options);
+        compiled_protocol<P> local(proto);
+        return run_compiled(local, edges, g, gen, options);
       },
       threads);
-  return summarize_election_results(results);
 }
 
 // As measure_election_fast, but through the tuned packed engine
@@ -95,71 +107,9 @@ election_summary measure_election_tuned(const tuned_runner<P>& runner,
                                         int trials, rng seed_gen,
                                         const sim_options& options = {},
                                         std::size_t threads = 0) {
-  std::vector<election_result> results(static_cast<std::size_t>(trials));
-  parallel_for(
-      static_cast<std::size_t>(trials),
-      [&](std::size_t t) { results[t] = runner.run(seed_gen.fork(t), options); },
-      threads);
-  return summarize_election_results(results);
-}
-
-template <compilable_protocol P>
-election_summary measure_election_tuned(const P& proto, const graph& g,
-                                        int trials, rng seed_gen,
-                                        const sim_options& options = {},
-                                        const engine_tuning& tuning = {},
-                                        std::size_t threads = 0) {
-  const tuned_runner<P> runner(proto, g, tuning);
-  return measure_election_tuned(runner, trials, seed_gen, options, threads);
-}
-
-// As measure_election_tuned, but sharding the trials across `jobs` worker
-// *processes* under the fleet supervisor (fleet/supervisor.h) instead of
-// threads: workers inherit the prepared runner copy-on-write and stream
-// per-trial results back over pipes.  Trial t still uses seed_gen.fork(t)
-// wherever it lands and the merge reassembles the per-trial vector by index,
-// so the summary is byte-identical to the serial (and threaded) sweep for
-// any worker count — the seed-partition determinism contract of
-// tests/test_fleet.cpp and the CI fleet-determinism gate.  Crashed, hung or
-// misbehaving workers are killed and respawned with their incomplete trials
-// (then run inline once the retry budget is spent); `sup` adds journaling,
-// resume, fault injection and the flight recorder.
-template <compilable_protocol P>
-election_summary measure_election_fleet(const tuned_runner<P>& runner,
-                                        int trials, rng seed_gen,
-                                        const sim_options& options = {},
-                                        int jobs = 1,
-                                        const fleet::supervise_options& sup = {}) {
-  return summarize_election_results(fleet::supervised_fleet_run(
-      static_cast<std::uint64_t>(trials), seed_gen,
-      [&](std::uint64_t, rng gen) { return runner.run(gen, options); }, jobs,
-      sup));
-}
-
-// Process-sharded counterpart of measure_election_wellmixed, under the same
-// supervisor.  The well-mixed engine is deterministic per (seed, batch
-// size), so the fleet merge is also byte-identical to the serial sweep —
-// stronger than the engine's 3σ statistical contract against the
-// per-interaction simulators.
-template <node_census_protocol P>
-election_summary measure_election_fleet_wellmixed(
-    const P& proto, std::uint64_t n, int trials, rng seed_gen,
-    const sim_options& options = {}, int jobs = 1,
-    const fleet::supervise_options& sup = {}) {
-  const wellmixed_sweep<P> sweep(proto, n);
-  return summarize_election_results(fleet::supervised_fleet_run(
-      static_cast<std::uint64_t>(trials), seed_gen,
-      [&](std::uint64_t, rng gen) { return sweep.run(gen, options); }, jobs,
-      sup));
-}
-
-// One tuned election (single-run convenience over tuned_runner; callers that
-// run many trials should build the runner once instead).
-template <compilable_protocol P>
-election_result run_election_tuned(const P& proto, const graph& g, rng gen,
-                                   const sim_options& options = {},
-                                   const engine_tuning& tuning = {}) {
-  return tuned_runner<P>(proto, g, tuning).run(gen, options);
+  return measure_trials(
+      trials, seed_gen,
+      [&](std::uint64_t, rng gen) { return runner.run(gen, options); }, threads);
 }
 
 // Well-mixed (clique) sweep on the multiset batch engine: trial t runs
@@ -176,12 +126,9 @@ election_summary measure_election_wellmixed(const P& proto, std::uint64_t n,
                                             const sim_options& options = {},
                                             std::size_t threads = 0) {
   const wellmixed_sweep<P> sweep(proto, n);
-  std::vector<election_result> results(static_cast<std::size_t>(trials));
-  parallel_for(
-      static_cast<std::size_t>(trials),
-      [&](std::size_t t) { results[t] = sweep.run(seed_gen.fork(t), options); },
-      threads);
-  return summarize_election_results(results);
+  return measure_trials(
+      trials, seed_gen,
+      [&](std::uint64_t, rng gen) { return sweep.run(gen, options); }, threads);
 }
 
 // As `measure_election` for the Beauquier protocol, but with the event-driven

@@ -600,7 +600,7 @@ namespace pp {
 // entries; 2048² packed u16 entries are ~34 MB).
 inline constexpr std::size_t kEngineClosureBudget = 2048;
 
-// Data-layout knobs for tuned_runner / measure_election_tuned.
+// Data-layout knobs for tuned_runner.
 struct engine_tuning {
   // Vertex relabelling applied to the graph before the run (graph/reorder.h).
   // natural preserves per-seed bit-identity with the reference simulator;

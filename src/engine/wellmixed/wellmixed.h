@@ -127,7 +127,9 @@ struct pair_class {
 // stream or the result.  Batch semantics: steps are credited batch-wise
 // (on_steps), batch retries (the multinomial over-drew) are counted, and
 // rng draws are tracked only on the exact per-interaction path (the batch
-// samplers' internal draw counts are distribution-dependent).
+// samplers' internal draw counts are distribution-dependent).  The silent
+// scheduler walks graph edges, which a multiset has none of, so
+// options.scheduler must be step.
 template <node_census_protocol P, typename Probe = obs::null_probe>
 election_result run_wellmixed(compiled_protocol<P>& compiled,
                               const wellmixed_multiset<P>& initial,
@@ -137,6 +139,9 @@ election_result run_wellmixed(compiled_protocol<P>& compiled,
   using traits = census_traits<P>;
   using wellmixed_detail::pair_class;
   expects(n >= 2, "run_wellmixed: population must have at least 2 agents");
+  expects(options.scheduler != scheduler_kind::silent,
+          "run_wellmixed: the silent scheduler walks graph edges; the "
+          "well-mixed engine has none (use the step scheduler)");
   if constexpr (Probe::enabled) {
     expects(probe != nullptr, "run_wellmixed: enabled probe type needs a probe");
   }
@@ -712,8 +717,9 @@ election_result run_wellmixed(const P& proto, std::uint64_t n, rng gen,
 // compiled table closed within the engine budget.  When the closure succeeds
 // the table is immutable and every trial shares it (safe across threads and
 // forked processes); otherwise each trial compiles its own lazy table.  This
-// is the one home of that policy — measure_election_wellmixed, the fleet
-// sweeps and popsim's worker mode all run trials through it.
+// is the one home of that policy — measure_election_wellmixed and every
+// well-mixed fleet/artifact sweep (fleet::prepare_wellmixed) run trials
+// through it.
 template <node_census_protocol P>
 class wellmixed_sweep {
  public:

@@ -25,18 +25,22 @@
 // reject everything else (artifacts are cheap to regenerate — the closed
 // table is O(|Λ|²) — so there is no migration machinery).
 //
-// Load semantics: load_artifact only parses and checksums.  A worker then
-// *rebuilds* the protocol, graph and compiled table from the artifact's
-// protocol descriptor — the closure is deterministic — and validates its
-// rebuild byte-for-byte against the stored sections (validate_tuned_artifact
-// / validate_wellmixed_artifact below).  A worker whose binary compiles a
-// different table than the artifact's producer fails loudly instead of
-// silently computing a different sweep; this is the version-skew gate of the
-// fleet protocol (src/fleet/README.md).
+// Load semantics: load_artifact only parses and checksums.  prepare_sweep
+// (below) then *rebuilds* the protocol, graph and compiled table from the
+// artifact's protocol descriptor — the closure is deterministic — and
+// validates its rebuild byte-for-byte against the stored sections
+// (validate_tuned_artifact / validate_wellmixed_artifact).  It is the one
+// rebuild every consumer shares: popsim --worker, popsim --load-artifact and
+// the popsimd daemon.  A consumer whose binary compiles a different table
+// than the artifact's producer fails loudly instead of silently computing a
+// different sweep; this is the version-skew gate of the fleet protocol
+// (src/fleet/README.md).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -49,6 +53,7 @@
 #include "engine/wellmixed/wellmixed.h"
 #include "graph/graph.h"
 #include "graph/reorder.h"
+#include "obs/probe.h"
 #include "support/expects.h"
 
 namespace pp::fleet {
@@ -392,5 +397,112 @@ void validate_wellmixed_artifact(const sweep_artifact& artifact, const P& proto,
     validate_table(*artifact.table, sweep.compiled());
   }
 }
+
+// ---------------------------------------------------------------------------
+// Prepared sweeps: a sweep ready to run, its protocol type erased.
+
+struct prepared_sweep {
+  std::string family;      // display name of the graph family
+  protocol_desc protocol;
+  // Tuned engine: the graph in its original labelling.  Null on the
+  // well-mixed engine, which has no graph object.
+  std::shared_ptr<const graph> g;
+  std::uint64_t population = 0;  // agents (the graph's nodes on the tuned engine)
+  // The tuned engine's resolved layout.
+  vertex_order order = vertex_order::natural;
+  int pack_bits = 0;
+  bool packed = false;  // false on the lazy-table fallback
+  // One trial.  A null probe runs the engines' null_probe instantiation, so
+  // an unobserved trial costs what a direct runner call does.
+  std::function<election_result(rng, const sim_options&, obs::run_probe*)> run;
+  // This sweep as an artifact (tuned sweeps need a closed table).
+  std::function<sweep_artifact()> snapshot;
+};
+
+// Prepares a tuned sweep of `proto` on `g`, owning both for the runner that
+// borrows them.  Throws std::invalid_argument when the tuning does not fit
+// the state space (e.g. pack_bits 8 beyond 256 states), and — given
+// `expected` — when the build diverges from that artifact.
+template <compilable_protocol P>
+prepared_sweep prepare_tuned(P proto, graph g, const engine_tuning& tuning,
+                             std::string family, protocol_desc desc,
+                             const sweep_artifact* expected = nullptr) {
+  struct owned {
+    owned(P p, graph original, const engine_tuning& t)
+        : proto(std::move(p)), g(std::move(original)), runner(proto, g, t) {}
+    P proto;
+    graph g;
+    tuned_runner<P> runner;
+  };
+  const std::shared_ptr<const owned> s =
+      std::make_shared<owned>(std::move(proto), std::move(g), tuning);
+  if (expected != nullptr) validate_tuned_artifact(*expected, s->runner);
+  prepared_sweep p;
+  p.family = family;
+  p.protocol = desc;
+  p.g = std::shared_ptr<const graph>(s, &s->g);
+  p.population = static_cast<std::uint64_t>(s->g.num_nodes());
+  p.order = s->runner.order();
+  p.pack_bits = s->runner.pack_bits();
+  p.packed = s->runner.packed();
+  p.run = [s](rng gen, const sim_options& options, obs::run_probe* probe) {
+    return probe != nullptr ? s->runner.run(gen, options, probe)
+                            : s->runner.run(gen, options);
+  };
+  p.snapshot = [s, family = std::move(family), desc = std::move(desc)] {
+    return make_tuned_artifact(s->runner, s->g, family, desc);
+  };
+  return p;
+}
+
+// Prepares a well-mixed sweep of `proto` on `n` agents, validated against
+// `expected` when given.
+template <node_census_protocol P>
+prepared_sweep prepare_wellmixed(P proto, std::uint64_t n, std::string family,
+                                 protocol_desc desc,
+                                 const sweep_artifact* expected = nullptr) {
+  struct owned {
+    owned(P p, std::uint64_t agents) : proto(std::move(p)), sweep(proto, agents) {}
+    P proto;
+    wellmixed_sweep<P> sweep;
+  };
+  const std::shared_ptr<const owned> s =
+      std::make_shared<owned>(std::move(proto), n);
+  if (expected != nullptr) {
+    validate_wellmixed_artifact(*expected, s->proto, s->sweep.initial());
+  }
+  prepared_sweep p;
+  p.family = family;
+  p.protocol = desc;
+  p.population = n;
+  p.run = [s](rng gen, const sim_options& options, obs::run_probe* probe) {
+    return probe != nullptr ? s->sweep.run(gen, options, probe)
+                            : s->sweep.run(gen, options);
+  };
+  p.snapshot = [s, family = std::move(family), desc = std::move(desc)] {
+    return make_wellmixed_artifact(s->proto, s->sweep.initial(),
+                                   s->sweep.population(), family, desc);
+  };
+  return p;
+}
+
+// The well-mixed instantiations are compiled once, in their own translation
+// unit (prepare_wellmixed.cpp).  Instantiated next to the tuned ones, the
+// multiset engine's bulk exhausts GCC's inline-unit-growth budget and the
+// tuned step loop's per-step draw stops inlining (~15% per trial).
+extern template prepared_sweep prepare_wellmixed<fast_protocol>(
+    fast_protocol, std::uint64_t, std::string, protocol_desc,
+    const sweep_artifact*);
+extern template prepared_sweep prepare_wellmixed<beauquier_protocol>(
+    beauquier_protocol, std::uint64_t, std::string, protocol_desc,
+    const sweep_artifact*);
+
+// The one artifact rebuild (defined in prepare.cpp): maps the descriptor to
+// its protocol type (fast or star on the tuned engine, fast or six on the
+// well-mixed engine), rebuilds the sweep and validates it against the
+// artifact.  Throws std::invalid_argument on any missing section,
+// unsupported protocol or divergence — popsimd feeds it artifacts from any
+// TCP peer.
+prepared_sweep prepare_sweep(const sweep_artifact& artifact);
 
 }  // namespace pp::fleet

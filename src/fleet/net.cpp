@@ -190,6 +190,8 @@ bool decode_sweep_request(const std::uint8_t* payload, std::size_t length,
     return false;
   }
   if (length - off != faults_length) return false;  // exact-size payloads only
+  // Only the scheduler_kind values (0 = step, 1 = silent) are requests.
+  if (r.scheduler > static_cast<std::uint8_t>(scheduler_kind::silent)) return false;
   r.faults.assign(reinterpret_cast<const char*>(payload) + off, faults_length);
   out = std::move(r);
   return true;

@@ -10,10 +10,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <string>
 
-#include "core/star_protocol.h"
 #include "fleet/artifact.h"
 #include "fleet/fault.h"
 #include "fleet/net.h"
@@ -34,59 +32,14 @@ using steady_clock = std::chrono::steady_clock;
 // this small always fit the socket buffer, so the same bound covers sends.
 constexpr int kHandshakeIdleMs = 30000;
 
-// One prepared, validated sweep, ready to fork runner children.  `run_trial`
-// type-erases the protocol dispatch; the shared_ptrs it captures keep the
-// rebuilt runner (and its graph) alive for as long as the entry is cached.
+// One prepared, validated sweep (fleet/artifact.h), ready to fork runner
+// children.
 struct cached_sweep {
   std::uint64_t checksum = 0;
   std::uint64_t bytes = 0;      // artifact file size (the cache currency)
   std::uint64_t last_used = 0;  // LRU tick
-  std::function<election_result(rng, const sim_options&)> run_trial;
+  prepared_sweep sweep;
 };
-
-// Rebuilds the sweep a verified artifact describes and validates the rebuild
-// byte-for-byte against the stored sections — the same version-skew gate
-// popsim --worker applies.  Throws std::invalid_argument on any divergence.
-std::function<election_result(rng, const sim_options&)> build_runner(
-    const sweep_artifact& artifact) {
-  using runner_fn = std::function<election_result(rng, const sim_options&)>;
-  if (artifact.engine == artifact_engine::tuned) {
-    expects(artifact.graph.has_value(),
-            "popsimd: tuned artifact without a graph section");
-    const auto g = std::make_shared<graph>(rebuild_graph(*artifact.graph));
-    const auto make = [&]<typename P>(const P& proto) -> runner_fn {
-      const auto runner =
-          std::make_shared<tuned_runner<P>>(proto, *g, tuning_of(artifact));
-      validate_tuned_artifact(artifact, *runner);
-      return [runner, g](rng gen, const sim_options& options) {
-        return runner->run(gen, options);
-      };
-    };
-    if (artifact.protocol.kind == protocol_kind::star) {
-      expect_star_desc(artifact.protocol);
-      return make(star_protocol{});
-    }
-    expects(artifact.protocol.kind == protocol_kind::fast,
-            "popsimd: unsupported tuned-engine protocol in artifact");
-    return make(fast_protocol(fast_params_of(artifact.protocol)));
-  }
-  expects(artifact.wellmixed.has_value(),
-          "popsimd: well-mixed artifact without a multiset section");
-  const std::uint64_t n = artifact.wellmixed->population;
-  const auto make = [&]<typename P>(const P& proto) -> runner_fn {
-    const auto sweep = std::make_shared<wellmixed_sweep<P>>(proto, n);
-    validate_wellmixed_artifact(artifact, proto, sweep->initial());
-    return [sweep](rng gen, const sim_options& options) {
-      return sweep->run(gen, options);
-    };
-  };
-  if (artifact.protocol.kind == protocol_kind::fast) {
-    return make(fast_protocol(fast_params_of(artifact.protocol)));
-  }
-  expects(artifact.protocol.kind == protocol_kind::six,
-          "popsimd: unsupported well-mixed protocol in artifact");
-  return make(beauquier_protocol(six_population_of(artifact.protocol)));
-}
 
 // One in-handshake connection.
 struct connection {
@@ -311,15 +264,15 @@ bool valid_request(const net::sweep_request& r, std::string& why) {
         sim_options options;
         options.max_steps = request.max_steps;
         options.wellmixed_batch = request.wellmixed_batch;
-        options.scheduler = request.scheduler == 1 ? scheduler_kind::silent
-                                                   : scheduler_kind::step;
+        // decode_sweep_request admits only the scheduler_kind values.
+        options.scheduler = static_cast<scheduler_kind>(request.scheduler);
         // Trial t uses rng(seed).fork(2).fork(t) — the serial derivation, so
         // remote merges are byte-identical to serial runs.
         const rng seed_gen = rng(request.seed).fork(2);
         run_trial_block(
             {request.base, request.count}, conn.fd,
             [&](std::uint64_t, rng gen) {
-              return entry->run_trial(gen, options);
+              return entry->sweep.run(gen, options, nullptr);
             },
             seed_gen, injector);
       } catch (const std::exception& e) {
@@ -458,7 +411,7 @@ bool valid_request(const net::sweep_request& r, std::string& why) {
         entry = std::make_shared<cached_sweep>();
         entry->checksum = checksum;
         entry->bytes = size;
-        entry->run_trial = build_runner(artifact);
+        entry->sweep = prepare_sweep(artifact);
       } catch (const std::exception& e) {
         return reject(conn, std::string("artifact rejected: ") + e.what());
       }

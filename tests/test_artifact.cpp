@@ -261,6 +261,66 @@ TEST(Artifact, WellmixedArtifactRoundTripsAndValidates) {
   EXPECT_THROW(validate_wellmixed_artifact(b, proto, other), std::invalid_argument);
 }
 
+// prepare_sweep is the one rebuild behind popsim --worker, --load-artifact
+// and popsimd: its trials are the producer's trials, and its facts are the
+// producer's layout.
+TEST(Artifact, PrepareSweepRebuildsTheProducersSweep) {
+  const tuned_fixture fx({.order = vertex_order::rcm});
+  const prepared_sweep sweep = prepare_sweep(fx.artifact());
+  ASSERT_NE(sweep.g, nullptr);
+  EXPECT_EQ(sweep.g->num_edges(), fx.g.num_edges());
+  EXPECT_EQ(sweep.population, 200u);
+  EXPECT_EQ(sweep.order, vertex_order::rcm);
+  EXPECT_EQ(sweep.pack_bits, fx.runner.pack_bits());
+  EXPECT_TRUE(sweep.packed);
+  EXPECT_TRUE(sweep.snapshot() == fx.artifact());
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const election_result want = fx.runner.run(rng(seed));
+    obs::run_probe probe;
+    for (const election_result& got :
+         {sweep.run(rng(seed), {}, nullptr), sweep.run(rng(seed), {}, &probe)}) {
+      EXPECT_EQ(got.steps, want.steps) << "seed " << seed;
+      EXPECT_EQ(got.leader, want.leader) << "seed " << seed;
+    }
+  }
+
+  const std::uint64_t n = 500;
+  const beauquier_protocol six(500);
+  const sweep_artifact wm =
+      make_wellmixed_artifact(six, initial_multiset(six, n), n, "clique", six_desc(500));
+  const prepared_sweep mixed = prepare_sweep(wm);
+  EXPECT_EQ(mixed.g, nullptr);
+  EXPECT_EQ(mixed.population, n);
+  EXPECT_TRUE(mixed.snapshot() == wm);
+  EXPECT_EQ(mixed.run(rng(4), {}, nullptr).steps,
+            wellmixed_sweep<beauquier_protocol>(six, n).run(rng(4)).steps);
+}
+
+// popsimd accepts artifacts from any TCP peer, so every descriptor the
+// engines cannot run and every missing section must throw
+// std::invalid_argument out of prepare_sweep — never crash.
+TEST(Artifact, PrepareSweepRejectsHostileArtifacts) {
+  const tuned_fixture fx;
+  const sweep_artifact tuned = fx.artifact();
+  const beauquier_protocol six(500);
+  const sweep_artifact wellmixed = make_wellmixed_artifact(
+      six, initial_multiset(six, 500), 500, "clique", six_desc(500));
+
+  sweep_artifact six_on_tuned = tuned;
+  six_on_tuned.protocol = six_desc(200);
+  sweep_artifact star_on_wellmixed = wellmixed;
+  star_on_wellmixed.protocol = star_desc();
+  sweep_artifact tuned_without_graph = tuned;
+  tuned_without_graph.graph.reset();
+  sweep_artifact wellmixed_without_multiset = wellmixed;
+  wellmixed_without_multiset.wellmixed.reset();
+  for (const sweep_artifact* hostile : {&six_on_tuned, &star_on_wellmixed,
+                                        &tuned_without_graph,
+                                        &wellmixed_without_multiset}) {
+    EXPECT_THROW(prepare_sweep(*hostile), std::invalid_argument);
+  }
+}
+
 TEST(Artifact, HostileElementCountsAreRejectedBeforeAllocating) {
   // Hand-craft a checksummed file whose META section claims 2^32-1 protocol
   // parameters but carries none: the parser must reject it as truncated

@@ -169,45 +169,136 @@ TEST(CliExitCodes, StarRunsOnTheTunedEngineWithTuningFlags) {
   EXPECT_NE(tuned.out.find("stabilized: 100%"), std::string::npos);
 }
 
+// Exact stdout of one sweep per engine and report shape: the tuned engine
+// (fast, star, silent scheduler, reordered + forced width), the well-mixed
+// engine (fast, six) and the reference simulators (id, six).  The
+// serial-vs-fleet diffs below cannot see a change that moves both sides
+// together; these rows can.  They pin seeded trajectories, so after a
+// deliberate change of draw consumption or of the report, regenerate them by
+// running
+//   build/test_cli --gtest_filter='CliGolden.*'
+// and pasting the printed `actual` rows over the old ones.
+TEST(CliGolden, StdoutMatchesRecordedSweeps) {
+  struct golden_run {
+    const char* args;
+    const char* out;
+  };
+  const golden_run table[] = {
+      {"cycle 200 fast --trials 4 --seed 3",
+       "graph: cycle n=200 m=200 Δ=2\n"
+       "engine: order=natural pack=u16\n"
+       "stabilized: 100% of 4 trials\n"
+       "steps: mean 1420203 (sd 101460, median 1461719, [q10,q90]=[1323476, 1483717])\n"
+       "sample leader: node 12\n"},
+      {"cycle 150 star --trials 3 --seed 2",
+       "graph: cycle n=150 m=150 Δ=2\n"
+       "engine: order=natural pack=u8\n"
+       "stabilized: 0% of 3 trials\n"
+       "sample leader: node -1\n"},
+      {"rr8 400 fast --engine silent --trials 3 --seed 5",
+       "graph: rr8 n=400 m=1600 Δ=8\n"
+       "engine: order=natural pack=u16 scheduler=silent\n"
+       "stabilized: 100% of 3 trials\n"
+       "steps: mean 232564 (sd 21304, median 225522, [q10,q90]=[217643, 250303])\n"
+       "sample leader: node 69\n"},
+      {"clique 3000 fast --engine wellmixed --trials 4 --seed 9",
+       "well-mixed clique: n=3000 (multiset configuration, no edge list)\n"
+       "stabilized: 100% of 4 trials\n"
+       "steps: mean 4.34e+06 (sd 3.3e+05, median 4.29e+06, [q10,q90]=[4.05e+06, 4.66e+06])\n"
+       "stabilized trials elected a unique leader\n"},
+      {"clique 3000 six --engine wellmixed --trials 4 --seed 9",
+       "well-mixed clique: n=3000 (multiset configuration, no edge list)\n"
+       "stabilized: 100% of 4 trials\n"
+       "steps: mean 7.38e+06 (sd 2e+06, median 7.44e+06, [q10,q90]=[5.47e+06, 9.23e+06])\n"
+       "stabilized trials elected a unique leader\n"},
+      {"cycle 40 id --trials 3 --seed 1",
+       "graph: cycle n=40 m=40 Δ=2\n"
+       "stabilized: 100% of 3 trials\n"
+       "steps: mean 1106 (sd 161, median 1188, [q10,q90]=[974, 1205])\n"
+       "sample leader: node 33\n"},
+      {"cycle 64 six --trials 3 --seed 3",
+       "graph: cycle n=64 m=64 Δ=2\n"
+       "stabilized: 100% of 3 trials\n"
+       "steps: mean 15202 (sd 3718, median 14437, [q10,q90]=[12427, 18282])\n"
+       "sample leader: node 20\n"},
+      {"torus 400 fast --order rcm --pack 16 --trials 3 --seed 4",
+       "graph: torus n=400 m=800 Δ=4\n"
+       "engine: order=rcm pack=u16\n"
+       "stabilized: 100% of 3 trials\n"
+       "steps: mean 441750 (sd 83334, median 487847, [q10,q90]=[374011, 491050])\n"
+       "sample leader: node 112\n"},
+  };
+  for (const golden_run& want : table) {
+    const cli_result r = run_cli(want.args);
+    EXPECT_EQ(r.code, 0) << "popsim " << want.args;
+    if (r.out == want.out) continue;
+    std::string row = std::string("actual {\"") + want.args + "\",\n";
+    std::size_t start = 0;
+    for (std::size_t end; (end = r.out.find('\n', start)) != std::string::npos;
+         start = end + 1) {
+      row += "  \"" + r.out.substr(start, end - start) + "\\n\"\n";
+    }
+    ADD_FAILURE() << row << "},";
+  }
+}
+
 // The CLI half of the fleet-determinism gate: a --jobs sweep over a saved
 // artifact prints exactly the serial stdout (worker chatter goes to stderr).
 TEST(CliFleet, ArtifactSweepStdoutIsIdenticalSerialVsJobs) {
   const std::string dir = testing::TempDir();
   const std::string artifact = dir + "/cli_fleet.ppaf";
   const std::string resaved = dir + "/cli_fleet_resaved.ppaf";
+  // The silent scheduler is a runtime knob outside the artifact, so it is
+  // passed again at load time.
+  struct sweep_case {
+    std::string positional;
+    std::string load_flags;
+    std::string jobs;
+  };
+  const sweep_case cases[] = {
+      {"cycle 400 fast", "", "3"},
+      {"rr8 400 fast --engine silent", " --engine silent", "2"},
+  };
+  const std::string run_flags = " --trials 8 --seed 5";
+  for (const sweep_case& c : cases) {
+    SCOPED_TRACE(c.positional);
+    const std::string positional = c.positional + run_flags;
+    const cli_result saved = run_cli(positional + " --save-artifact " + artifact);
+    ASSERT_EQ(saved.code, 0);
+    const cli_result positional_fleet = run_cli(positional + " --jobs " + c.jobs);
+    ASSERT_EQ(positional_fleet.code, 0);
+    EXPECT_EQ(saved.out, positional_fleet.out);
 
-  const cli_result saved =
-      run_cli("cycle 400 fast --trials 8 --seed 5 --save-artifact " + artifact);
-  ASSERT_EQ(saved.code, 0);
+    const std::string sweep_args =
+        "--load-artifact " + artifact + run_flags + c.load_flags;
+    const cli_result serial = run_cli(sweep_args);
+    const cli_result fleet = run_cli(sweep_args + " --jobs " + c.jobs);
+    ASSERT_EQ(serial.code, 0);
+    ASSERT_EQ(fleet.code, 0);
+    EXPECT_EQ(serial.out, fleet.out);
+    // The artifact-driven serial sweep also reproduces the classic run.
+    EXPECT_EQ(saved.out, serial.out);
 
-  const std::string sweep_args = "--load-artifact " + artifact + " --trials 8 --seed 5";
-  const cli_result serial = run_cli(sweep_args);
-  const cli_result fleet = run_cli(sweep_args + " --jobs 3");
-  ASSERT_EQ(serial.code, 0);
-  ASSERT_EQ(fleet.code, 0);
-  EXPECT_EQ(serial.out, fleet.out);
-  // The artifact-driven serial sweep also reproduces the classic run.
-  EXPECT_EQ(saved.out, serial.out);
-
-  // Round trip: load → re-save must be byte-identical (cmp in CI).
-  const cli_result resave = run_cli("--load-artifact " + artifact +
-                                    " --trials 1 --save-artifact " + resaved);
-  ASSERT_EQ(resave.code, 0);
-  std::FILE* a = std::fopen(artifact.c_str(), "rb");
-  std::FILE* b = std::fopen(resaved.c_str(), "rb");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  std::string bytes_a, bytes_b;
-  std::array<char, 4096> buf;
-  std::size_t got = 0;
-  while ((got = fread(buf.data(), 1, buf.size(), a)) > 0) bytes_a.append(buf.data(), got);
-  while ((got = fread(buf.data(), 1, buf.size(), b)) > 0) bytes_b.append(buf.data(), got);
-  std::fclose(a);
-  std::fclose(b);
-  EXPECT_FALSE(bytes_a.empty());
-  EXPECT_EQ(bytes_a, bytes_b);
-  std::remove(artifact.c_str());
-  std::remove(resaved.c_str());
+    // Round trip: load → re-save must be byte-identical (cmp in CI).
+    const cli_result resave = run_cli("--load-artifact " + artifact +
+                                      " --trials 1 --save-artifact " + resaved);
+    ASSERT_EQ(resave.code, 0);
+    std::FILE* a = std::fopen(artifact.c_str(), "rb");
+    std::FILE* b = std::fopen(resaved.c_str(), "rb");
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    std::string bytes_a, bytes_b;
+    std::array<char, 4096> buf;
+    std::size_t got = 0;
+    while ((got = fread(buf.data(), 1, buf.size(), a)) > 0) bytes_a.append(buf.data(), got);
+    while ((got = fread(buf.data(), 1, buf.size(), b)) > 0) bytes_b.append(buf.data(), got);
+    std::fclose(a);
+    std::fclose(b);
+    EXPECT_FALSE(bytes_a.empty());
+    EXPECT_EQ(bytes_a, bytes_b);
+    std::remove(artifact.c_str());
+    std::remove(resaved.c_str());
+  }
 }
 
 // Star sweeps shard like fast ones: the artifact carries the EDGE section
@@ -386,18 +477,45 @@ TEST(CliFleet, ProgressLeavesStdoutUntouched) {
 
 TEST(CliFleet, WellmixedArtifactSweepIsDeterministic) {
   const std::string artifact = testing::TempDir() + "/cli_wm.ppaf";
-  const cli_result saved = run_cli(
-      "clique 3000 fast --engine wellmixed --trials 6 --seed 9 --save-artifact " +
-      artifact);
-  ASSERT_EQ(saved.code, 0);
-  const std::string sweep_args = "--load-artifact " + artifact + " --trials 6 --seed 9";
-  const cli_result serial = run_cli(sweep_args);
-  const cli_result fleet = run_cli(sweep_args + " --jobs 4");
-  ASSERT_EQ(serial.code, 0);
-  ASSERT_EQ(fleet.code, 0);
-  EXPECT_EQ(serial.out, fleet.out);
-  EXPECT_EQ(saved.out, serial.out);
+  for (const std::string protocol : {"fast", "six"}) {
+    SCOPED_TRACE(protocol);
+    const cli_result saved =
+        run_cli("clique 3000 " + protocol +
+                " --engine wellmixed --trials 6 --seed 9 --save-artifact " + artifact);
+    ASSERT_EQ(saved.code, 0);
+    const std::string sweep_args = "--load-artifact " + artifact + " --trials 6 --seed 9";
+    const cli_result serial = run_cli(sweep_args);
+    const cli_result fleet = run_cli(sweep_args + " --jobs 4");
+    ASSERT_EQ(serial.code, 0);
+    ASSERT_EQ(fleet.code, 0);
+    EXPECT_EQ(serial.out, fleet.out);
+    EXPECT_EQ(saved.out, serial.out);
+    std::remove(artifact.c_str());
+  }
+}
+
+// The silent scheduler walks graph edges and a well-mixed artifact has
+// none: a worker whose manifest asks for it must fail loudly instead of
+// streaming step-scheduler records as if the request had been honoured.
+TEST(CliFleet, SilentSchedulerOnAWellmixedWorkerIsRejected) {
+  const std::string dir = testing::TempDir();
+  const std::string artifact = dir + "/cli_wm_silent.ppaf";
+  const std::string manifest = dir + "/cli_wm_silent.manifest";
+  ASSERT_EQ(run_cli("clique 3000 fast --engine wellmixed --trials 1 "
+                    "--save-artifact " + artifact)
+                .code,
+            0);
+  {
+    std::ofstream out(manifest);
+    out << "ppfleet-manifest v1\nartifact=" << artifact
+        << "\nseed=1\ntrials=2\njobs=1\nscheduler=silent\n";
+  }
+  const cli_result r = run_cli_stderr("--worker " + manifest + " 0 0 2");
+  EXPECT_GT(r.code, 0);
+  EXPECT_NE(r.out.find("silent scheduler"), std::string::npos)
+      << "stderr was: " << r.out;
   std::remove(artifact.c_str());
+  std::remove(manifest.c_str());
 }
 
 #else

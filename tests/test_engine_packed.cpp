@@ -219,7 +219,7 @@ TEST(PackedEngine, ClosureBudgetFallbackMatchesLazyEngine) {
   EXPECT_FALSE(runner.packed());
   EXPECT_EQ(runner.pack_bits(), 32);
   const auto ref = measure_election_fast(proto, g, 4, rng(23), options);
-  const auto tuned = measure_election_tuned(proto, g, 4, rng(23), options);
+  const auto tuned = measure_election_tuned(runner, 4, rng(23), options);
   EXPECT_DOUBLE_EQ(ref.stabilized_fraction, tuned.stabilized_fraction);
   EXPECT_DOUBLE_EQ(ref.steps.mean, tuned.steps.mean);
   // ...and forcing a packed width on an unclosable table is refused.
@@ -233,7 +233,8 @@ TEST(PackedEngine, MeasureTunedNaturalMatchesMeasureFast) {
   const graph g = make_connected_erdos_renyi(32, 0.2, gen);
   const beauquier_protocol proto(32);
   const auto fast = measure_election_fast(proto, g, 12, rng(22));
-  const auto tuned = measure_election_tuned(proto, g, 12, rng(22));
+  const tuned_runner<beauquier_protocol> runner(proto, g);
+  const auto tuned = measure_election_tuned(runner, 12, rng(22));
   EXPECT_DOUBLE_EQ(fast.steps.mean, tuned.steps.mean);
   EXPECT_DOUBLE_EQ(fast.stabilized_fraction, tuned.stabilized_fraction);
 }

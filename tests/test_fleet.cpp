@@ -138,9 +138,10 @@ TEST(FleetRun, TunedSweepIsByteIdenticalToSerial) {
 
   const auto serial =
       measure_election_tuned(runner, trials, rng(7).fork(2));
+  const trial_fn fn = [&](std::uint64_t, rng gen) { return runner.run(gen); };
   for (const int jobs : {2, 3, 4}) {
-    const auto fleet =
-        measure_election_fleet(runner, trials, rng(7).fork(2), {}, jobs);
+    const auto fleet = summarize_election_results(
+        supervised_fleet_run(trials, rng(7).fork(2), fn, jobs, {}));
     expect_same_summary(fleet, serial);
   }
 }
@@ -156,9 +157,10 @@ TEST(FleetRun, StarTunedSweepIsByteIdenticalToSerial) {
 
   const auto serial =
       measure_election_tuned(runner, trials, rng(9).fork(2), options);
+  const trial_fn fn = [&](std::uint64_t, rng gen) { return runner.run(gen, options); };
   for (const int jobs : {2, 3, 4}) {
-    const auto fleet =
-        measure_election_fleet(runner, trials, rng(9).fork(2), options, jobs);
+    const auto fleet = summarize_election_results(
+        supervised_fleet_run(trials, rng(9).fork(2), fn, jobs, {}));
     expect_same_summary(fleet, serial);
   }
 }
@@ -192,8 +194,10 @@ TEST(FleetRun, WellmixedSweepIsByteIdenticalToSerial) {
 
   const auto serial =
       measure_election_wellmixed(proto, n, trials, rng(5).fork(2));
-  const auto fleet =
-      measure_election_fleet_wellmixed(proto, n, trials, rng(5).fork(2), {}, 4);
+  const wellmixed_sweep<fast_protocol> sweep(proto, n);
+  const auto fleet = summarize_election_results(supervised_fleet_run(
+      trials, rng(5).fork(2),
+      [&](std::uint64_t, rng gen) { return sweep.run(gen); }, 4, {}));
   expect_same_summary(fleet, serial);
 
   // The 3σ gate of the acceptance criteria, kept explicit in case the

@@ -107,6 +107,11 @@ TEST(NetHandshake, MalformedRequestsAreRejected) {
   auto wrong = payload;
   wrong[0] = static_cast<std::uint8_t>(net::msg_type::artifact_data);
   EXPECT_FALSE(net::decode_sweep_request(wrong.data(), wrong.size(), decoded));
+  // The scheduler byte carries scheduler_kind: 0 = step, 1 = silent only.
+  net::sweep_request unknown_scheduler = request;
+  unknown_scheduler.scheduler = 2;
+  const auto unknown = net::encode_sweep_request(unknown_scheduler);
+  EXPECT_FALSE(net::decode_sweep_request(unknown.data(), unknown.size(), decoded));
 }
 
 // ---------------------------------------------------------------------------

@@ -167,10 +167,11 @@ TEST(Reorder, RcmCollapsesBandwidthOnMeshes) {
 template <typename P>
 void expect_3sigma_agreement(const P& proto, const graph& g, int trials,
                              std::uint64_t seed, vertex_order order) {
-  const auto natural =
-      measure_election_tuned(proto, g, trials, rng(seed));
-  const auto reordered = measure_election_tuned(proto, g, trials, rng(seed + 1),
-                                                {}, {order, 0});
+  const tuned_runner<P> natural_runner(proto, g);
+  const tuned_runner<P> reordered_runner(proto, g, {order, 0});
+  const auto natural = measure_election_tuned(natural_runner, trials, rng(seed));
+  const auto reordered =
+      measure_election_tuned(reordered_runner, trials, rng(seed + 1));
   stat_gate::expect_step_agreement(natural, reordered, to_string(order));
 }
 

@@ -9,7 +9,8 @@ silently degrades a gate or drops a result row fails in CI:
     degrade — a baseline `true` that turns `false` is a regression, while a
     baseline `false` turning `true` is an improvement and passes;
   * machine-dependent measurements (wall-clock seconds, steps/sec, speedups,
-    overhead fractions, core counts, deviation z-scores) are skipped — those
+    overhead fractions, core counts, deviation z-scores, trial counts inside
+    a time budget) are skipped — those
     are gated by the benches' own acceptance booleans, not by this tool;
   * step statistics (trajectory-dependent counts and means: different libm
     builds resample trajectories) must stay within a relative tolerance,
@@ -50,6 +51,17 @@ SKIP_SUBSTRINGS = (
     "cores",
 )
 
+# Whole leaf keys that are machine-dependent although their names look like
+# counts (skipped like SKIP_SUBSTRINGS, but matched exactly so that real
+# trial counts elsewhere still compare exactly).  BENCH_star.json's
+# star_elections rows report how many elections the reference and the engine
+# finished inside a fixed time budget, so they track host speed; the
+# speedup_pass boolean and the equivalence booleans are what gate that bench.
+SKIP_KEYS = (
+    "ref_trials",
+    "engine_trials",
+)
+
 # Leaf keys whose values ride the sampled trajectory (step counts, means,
 # sample counts): compared within --tolerance instead of exactly, because a
 # different libm (CI image vs dev box) legitimately resamples every run.
@@ -70,7 +82,7 @@ def leaf_key(path):
 
 def classify(path):
     key = leaf_key(path)
-    if any(s in key for s in SKIP_SUBSTRINGS):
+    if key in SKIP_KEYS or any(s in key for s in SKIP_SUBSTRINGS):
         return "skip"
     if any(s in key for s in TOLERANT_SUBSTRINGS):
         return "tolerant"
