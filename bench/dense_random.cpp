@@ -49,9 +49,9 @@ void run() {
       const auto id_s = measure_election(ident, g, trials, seed.fork(stream++));
 
       const beauquier_protocol bq(n);
-      const auto bq_s = measure_beauquier_event_driven(bq, g, trials,
-                                                       seed.fork(stream++),
-                                                       UINT64_MAX);
+      const auto bq_s = measure_election_tuned(
+          tuned_runner<beauquier_protocol>(bq, g), trials, seed.fork(stream++),
+          {.scheduler = scheduler_kind::silent});
 
       table.add_row({format_number(p, 2), format_number(nn),
                      format_number(fast_s.steps.mean),

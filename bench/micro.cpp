@@ -1,10 +1,11 @@
 // E11 — engineering micro-benchmarks (google-benchmark).
 //
 // Throughput of the hot paths: the scheduler, raw protocol transitions, the
-// naive versus event-driven epidemic and Beauquier simulators.  These do not
-// reproduce a paper claim; they document why the event-driven simulators
-// exist (orders of magnitude on sparse graphs) and what step rates the
-// experiment binaries sustain.
+// naive versus event-driven epidemic simulator, and Beauquier on the naive
+// simulator versus the silent scheduler.  These do not reproduce a paper
+// claim; they document why the event-driven simulators exist (orders of
+// magnitude on sparse graphs) and what step rates the experiment binaries
+// sustain.
 #include <benchmark/benchmark.h>
 
 #include "core/beauquier.h"
@@ -12,6 +13,7 @@
 #include "core/id_election.h"
 #include "core/simulator.h"
 #include "dynamics/epidemic.h"
+#include "engine/engine.h"
 #include "graph/generators.h"
 #include "sched/scheduler.h"
 
@@ -112,17 +114,18 @@ void bm_beauquier_naive(benchmark::State& state) {
 }
 BENCHMARK(bm_beauquier_naive)->Arg(32)->Unit(benchmark::kMicrosecond);
 
-void bm_beauquier_event_driven(benchmark::State& state) {
+void bm_beauquier_silent(benchmark::State& state) {
   const graph g = make_cycle(static_cast<node_id>(state.range(0)));
   const beauquier_protocol proto(g.num_nodes());
+  const tuned_runner<beauquier_protocol> runner(proto, g);
+  const sim_options silent{.scheduler = scheduler_kind::silent};
   std::uint64_t trial = 0;
   rng seed(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_beauquier_event_driven(proto, g, seed.fork(trial++), UINT64_MAX).steps);
+    benchmark::DoNotOptimize(runner.run(seed.fork(trial++), silent).steps);
   }
 }
-BENCHMARK(bm_beauquier_event_driven)->Arg(32)->Arg(256)->Unit(benchmark::kMicrosecond);
+BENCHMARK(bm_beauquier_silent)->Arg(32)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 void bm_make_random_regular(benchmark::State& state) {
   rng gen(6);

@@ -180,7 +180,7 @@ rate_cell packed_capped(const tuned_runner<fast_protocol>& runner,
 bool run() {
   bench::banner(
       "E19", "silent-edge scheduler (event-driven engine, src/engine/silent/)",
-      "Maintaining the active oriented-pair set and jumping silent runs\n"
+      "Maintaining the active edge set and jumping silent runs\n"
       "geometrically: statistical agreement with the step scheduler in both\n"
       "activity regimes, then a full backup-regime election at n = 1e6\n"
       "against the step scheduler's projected wall clock.");

@@ -85,8 +85,9 @@ void run() {
     // --- constant-state protocol (Theorem 16) ---
     {
       const beauquier_protocol proto(g.num_nodes());
-      const auto s = measure_beauquier_event_driven(proto, g, trials,
-                                                    seed.fork(stream++), UINT64_MAX);
+      const auto s = measure_election_tuned(
+          tuned_runner<beauquier_protocol>(proto, g), trials,
+          seed.fork(stream++), {.scheduler = scheduler_kind::silent});
       const double shape = h_shape * n * log_n;
       table.add_row({setup.name, format_number(n), "6-state (Thm 16)",
                      format_number(s.steps.mean), "6", format_number(shape),

@@ -19,24 +19,28 @@
 //   --seed    master seed; every reported number is reproducible from it
 //             (default 1)
 //   --engine  auto picks the fastest per-interaction simulator for the
-//             protocol; wellmixed runs the O(|Λ|)-memory multiset batch
-//             engine (clique family + fast/six protocols only), which never
+//             protocol (for six on a graph, the silent scheduler below);
+//             wellmixed runs the O(|Λ|)-memory multiset batch engine
+//             (clique family + fast/six protocols only), which never
 //             materialises the graph and reaches n = 10⁸; silent runs the
 //             event-driven scheduler (src/engine/silent/) that draws only
-//             non-silent pairs and jumps the step counter over the waiting
-//             phase — statistically equivalent to auto, different seeded
+//             active edges and jumps the step counter over the waiting
+//             phase (protocols fast, six and star) — statistically
+//             equivalent to the step scheduler, different seeded
 //             trajectories.  A runtime knob, not part of the artifact: it
 //             is the one --engine value allowed with --load-artifact
-//   --order   vertex order for the compiled engine (protocols fast and
-//             star): natural keeps per-seed reproducibility with the
+//   --order   vertex order for the compiled engine (protocols fast, six
+//             and star): natural keeps per-seed reproducibility with the
 //             reference simulator; bfs/rcm relabel the graph for cache
 //             locality (statistically equivalent, different seeded
 //             trajectories)
-//   --pack    config word width for the compiled engine (protocols fast and
-//             star): auto picks the narrowest width holding |Λ|; 8/16/32
-//             force one and fail loudly if the state space does not fit
+//   --pack    config word width for the compiled engine (protocols fast,
+//             six and star): auto picks the narrowest width holding |Λ|;
+//             8/16/32 force one and fail loudly if the state space does
+//             not fit
 //   --jobs    shard the trials across W worker processes (fleet sweep,
-//             src/fleet/).  Trial t keeps its serial seed, records are
+//             src/fleet/; protocols fast, six and star, or --engine
+//             wellmixed).  Trial t keeps its serial seed, records are
 //             merged by trial index, so the printed summary is identical to
 //             the --jobs 1 run — worker bookkeeping goes to stderr
 //   --save-artifact  write the prepared sweep (closed table, packed
@@ -144,13 +148,14 @@ int usage() {
                "  --seed    64-bit master seed (default 1)\n"
                "  --engine  wellmixed needs family=clique and protocol"
                " fast|six; silent is the event-driven scheduler"
-               " (protocol fast|star, any family)\n"
+               " (protocol fast|six|star, any family; auto picks it for"
+               " six)\n"
                "  --order   vertex relabelling for the compiled engine"
-               " (protocols fast|star; default natural)\n"
+               " (protocols fast|six|star; default natural)\n"
                "  --pack    config word width for the compiled engine"
-               " (protocols fast|star; default auto)\n"
+               " (protocols fast|six|star; default auto)\n"
                "  --jobs    worker processes for the sweep (default 1;"
-               " protocol fast|star or --engine wellmixed)\n"
+               " protocol fast|six|star or --engine wellmixed)\n"
                "  --save-artifact / --load-artifact  serialize / rebuild the"
                " prepared sweep (src/fleet/)\n"
                "  --journal FILE  spool every completed trial to a crash-safe"
@@ -539,7 +544,7 @@ pp::election_summary run_fleet(const std::string& artifact_path,
 
 // The report's header, printed before the trials run: the graph (or, on the
 // well-mixed engine, the population) and the compiled engine's layout, which
-// the reference-simulator sweeps (protocols id and six) lack: pack_bits 0.
+// the reference-simulator sweep (protocol id) lacks: pack_bits 0.
 // The scheduler suffix appears only when non-default, so step-scheduler
 // stdout stays byte-identical to earlier builds.
 void print_header(const pp::fleet::prepared_sweep& sweep,
@@ -608,11 +613,18 @@ int run_sweep(const pp::fleet::prepared_sweep& sweep, const cli_config& cfg,
   const int trials = static_cast<int>(cfg.trials);
   // The star protocol can deadlock with several leaders on general graphs
   // (the tracker then never fires), so its runs are step-capped; the fast
-  // protocol always stabilizes.  Workers receive these options through the
-  // manifest, so a sweep's stdout never depends on which path ran it.
+  // protocol always stabilizes.  The six-state protocol is silent-rich from
+  // its first step (only token holders' edges are active), so on a graph its
+  // fastest engine is the silent scheduler.  Workers receive these options
+  // through the manifest, so a sweep's stdout never depends on which path
+  // ran it.
   pp::sim_options options;
   if (sweep.protocol.kind == pp::fleet::protocol_kind::star) options.max_steps = 1'000'000;
-  if (cfg.engine == "silent") options.scheduler = pp::scheduler_kind::silent;
+  const bool six_on_graph =
+      sweep.protocol.kind == pp::fleet::protocol_kind::six && sweep.g != nullptr;
+  if (cfg.engine == "silent" || six_on_graph) {
+    options.scheduler = pp::scheduler_kind::silent;
+  }
   print_header(sweep, options);
 
   const pp::fleet::trial_fn trial = [&](std::uint64_t, pp::rng gen) {
@@ -889,19 +901,20 @@ int main(int argc, char** argv) {
       return usage();
     }
 
-    // Reject tuning/fleet flags for non-engine protocols before paying for
-    // the graph construction (a dense family at large n is expensive).
-    const bool compiled_engine = protocol == "fast" || protocol == "star";
+    // Reject tuning/fleet flags for the reference simulator before paying
+    // for the graph construction (a dense family at large n is expensive).
+    const bool compiled_engine =
+        protocol == "fast" || protocol == "six" || protocol == "star";
     if (cfg.engine == "silent" && !compiled_engine) {
       std::fprintf(stderr,
                    "popsim: --engine silent schedules the compiled engine, "
-                   "i.e. protocol fast or star\n");
+                   "i.e. protocol fast, six or star\n");
       return usage();
     }
     if (cfg.tuning_requested && !compiled_engine) {
       std::fprintf(stderr,
                    "popsim: --order/--pack apply to the compiled engine, i.e. "
-                   "protocol fast or star\n");
+                   "protocol fast, six or star\n");
       return usage();
     }
     if ((cfg.jobs > 1 || cfg.supervised() || !cfg.save_path.empty()) &&
@@ -909,7 +922,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "popsim: --jobs/--save-artifact/--journal/--inject-fault/"
                    "--metrics/--trace/--progress need the compiled engine "
-                   "(protocol fast or star, or --engine wellmixed)\n");
+                   "(protocol fast, six or star, or --engine wellmixed)\n");
       return usage();
     }
 
@@ -926,11 +939,12 @@ int main(int argc, char** argv) {
     if (compiled_engine) {
       // Tuned compiled engine (src/engine/): the runner resolves the data
       // layout (vertex order, config/table word widths) once and shares it
-      // across the trials.  Defaults (natural order, auto width) reproduce
-      // the reference simulator's seeded results exactly.  The star protocol
-      // runs in the engine's edge-census mode (engine/edgecensus/): its
-      // stability predicate counts undecided-undecided edges, maintained
-      // incrementally alongside the node census.
+      // across the trials.  Defaults (natural order, auto width, step
+      // scheduler) reproduce the reference simulator's seeded results
+      // exactly.  The star protocol runs in the engine's edge-census mode
+      // (engine/edgecensus/): its stability predicate counts
+      // undecided-undecided edges, maintained incrementally alongside the
+      // node census.
       const auto tuned = [&]<typename P>(const P& proto,
                                          pp::fleet::protocol_desc desc) {
         pp::fleet::prepared_sweep sweep;
@@ -948,35 +962,29 @@ int main(int argc, char** argv) {
       if (protocol == "star") {
         return tuned(pp::star_protocol{}, pp::fleet::star_desc());
       }
+      if (protocol == "six") {
+        const pp::node_id nodes = g.num_nodes();
+        return tuned(pp::beauquier_protocol(nodes), pp::fleet::six_desc(nodes));
+      }
       const double b =
           pp::estimate_worst_case_broadcast_time(g, 30, 6, seed.fork(1)).value;
       const pp::fast_protocol proto(pp::fast_params::practical(g, b));
       return tuned(proto, pp::fleet::fast_desc(proto.params()));
     }
 
-    // Reference-simulator sweeps: the exact simulator (protocol id) and the
-    // event-driven Beauquier runner (protocol six).  No compiled layout, so
-    // they never reach the artifact or fleet paths (rejected above).
+    // The reference-simulator sweep (protocol id): no compiled layout, so it
+    // never reaches the artifact or fleet paths (rejected above).
+    if (protocol != "id") return usage();
     const auto shared = std::make_shared<const pp::graph>(std::move(g));
     const pp::node_id nodes = shared->num_nodes();
     pp::fleet::prepared_sweep sweep;
     sweep.family = family_name;
     sweep.g = shared;
     sweep.population = static_cast<std::uint64_t>(nodes);
-    if (protocol == "id") {
-      sweep.run = [shared, proto = pp::id_protocol(pp::id_protocol::suggested_k(nodes))](
-                      pp::rng gen, const pp::sim_options& options, pp::obs::run_probe*) {
-        return pp::run_until_stable(proto, *shared, gen, options);
-      };
-    } else if (protocol == "six") {
-      sweep.run = [shared, proto = pp::beauquier_protocol(nodes)](
-                      pp::rng gen, const pp::sim_options& options, pp::obs::run_probe*) {
-        const auto r = pp::run_beauquier_event_driven(proto, *shared, gen, options.max_steps);
-        return pp::election_result{r.stabilized, r.steps, r.leader, 6};
-      };
-    } else {
-      return usage();
-    }
+    sweep.run = [shared, proto = pp::id_protocol(pp::id_protocol::suggested_k(nodes))](
+                    pp::rng gen, const pp::sim_options& options, pp::obs::run_probe*) {
+      return pp::run_until_stable(proto, *shared, gen, options);
+    };
     return run_sweep(sweep, cfg, argv[0], "");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "popsim: %s\n", e.what());

@@ -59,8 +59,9 @@ int main(int argc, char** argv) {
   }
   {
     const pp::beauquier_protocol proto(g.num_nodes());
-    const auto s = pp::measure_beauquier_event_driven(proto, g, trials,
-                                                      seed.fork(5), UINT64_MAX);
+    const auto s = pp::measure_election_tuned(
+        pp::tuned_runner<pp::beauquier_protocol>(proto, g), trials, seed.fork(5),
+        {.scheduler = pp::scheduler_kind::silent});
     table.add_row({"6-state tokens (Thm 16)", "6",
                    pp::format_number(s.steps.mean),
                    pp::format_number(s.steps.mean / b, 3)});

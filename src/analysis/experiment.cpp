@@ -25,21 +25,6 @@ election_summary summarize_election_results(
   return summary;
 }
 
-election_summary measure_beauquier_event_driven(const beauquier_protocol& proto,
-                                                const graph& g, int trials,
-                                                rng seed_gen,
-                                                std::uint64_t max_steps,
-                                                std::size_t threads) {
-  return measure_trials(
-      trials, seed_gen,
-      [&](std::uint64_t, rng gen) {
-        const bq_run_result r = run_beauquier_event_driven(proto, g, gen, max_steps);
-        // The protocol has six states by construction.
-        return election_result{r.stabilized, r.steps, r.leader, 6};
-      },
-      threads);
-}
-
 broadcast_summary measure_broadcast(const graph& g, const graph_family& family,
                                     int trials_per_source, int max_sources,
                                     rng seed_gen) {

@@ -22,7 +22,6 @@
 
 #include "core/protocol.h"
 #include "graph/graph.h"
-#include "support/rng.h"
 
 namespace pp {
 
@@ -101,20 +100,5 @@ class beauquier_protocol {
 
 static_assert(population_protocol<beauquier_protocol>);
 static_assert(stability_tracker<beauquier_protocol::tracker_type, beauquier_protocol>);
-
-// Event-driven run of the Beauquier protocol.  Interactions in which neither
-// node holds a token are no-ops, so the simulation advances by
-// Geometric(active/m) skips where `active` counts edges incident to token
-// holders; the step-count distribution is identical to the naive simulator
-// (differentially tested).  Returns the number of scheduler steps to
-// stability and the elected node.
-struct bq_run_result {
-  bool stabilized = false;
-  std::uint64_t steps = 0;
-  node_id leader = -1;
-};
-bq_run_result run_beauquier_event_driven(const beauquier_protocol& proto,
-                                         const graph& g, rng gen,
-                                         std::uint64_t max_steps);
 
 }  // namespace pp

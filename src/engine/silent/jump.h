@@ -1,10 +1,11 @@
 // Geometric jump sampling over silent scheduler steps.
 //
-// With A active oriented pairs out of 2m, each per-step scheduler draw is an
-// independent Bernoulli(p = A/2m) trial for "hits an active pair".  The
-// number of consecutive silent steps before the next active one is therefore
-// Geometric(p) on {0, 1, 2, ...}: P(skip = s) = (1 - p)^s · p.  The silent
-// scheduler samples that run length in O(1) by inversion —
+// With A active edges out of m, each per-step scheduler draw (uniform over
+// the 2m oriented pairs) is an independent Bernoulli(p = 2A/2m = A/m) trial
+// for "hits an active edge".  The number of consecutive silent steps before
+// the next hit is therefore Geometric(p) on {0, 1, 2, ...}:
+// P(skip = s) = (1 - p)^s · p.  The silent scheduler samples that run length
+// in O(1) by inversion —
 // floor(log(U) / log(1 - p)) with U ~ Uniform(0, 1] — instead of paying one
 // RNG draw plus two config loads per silent step.
 //

@@ -5,17 +5,21 @@
 // oriented pair's transition changes neither endpoint.  run_packed's fast
 // path makes those steps cheap (one draw, two loads) but still pays for each
 // one; on the waiting phase (~2^h·L steps per agent) that is the entire wall
-// clock.  run_silent instead maintains the set of active (non-silent)
-// oriented pairs incrementally:
+// clock.  run_silent instead maintains the set of active edges
+// incrementally:
 //
-//   * a pair k ∈ [0, 2m) is active iff its transition would change a config
-//     word; activity only depends on the two endpoint words, so it can only
-//     change when one of them flips — an O(deg(u) + deg(v)) re-evaluation
-//     walk over silent_adjacency per executed step;
+//   * an edge j ∈ [0, m) is active iff the transition of either of its two
+//     oriented pairs would change a config word; activity only depends on
+//     the two endpoint words, so it can only change when one of them flips —
+//     an O(deg(u) + deg(v)) re-evaluation walk over silent_adjacency per
+//     executed step;
 //   * the step counter advances over silent runs by one geometric jump
-//     (jump.h): with A active pairs of 2m, the silent run before the next
-//     active step is Geometric(A/2m), and the active step itself is a
-//     uniform draw from the active list;
+//     (jump.h): with A active edges of m, the 2A oriented pairs of active
+//     edges are hit with probability A/m per step, so the run before the
+//     next hit is Geometric(A/m), and the hit itself is one uniform draw
+//     over those 2A pairs (bit 0 picks the orientation);
+//   * an active edge may have one silent orientation; a hit on it is one
+//     step that applies nothing, exactly as the step loop would execute it;
 //   * stability is re-checked exactly when the step loop would re-check it
 //     — both apply steps through the same detail::election_run, which
 //     reports a census delta or an edge-census class flip — silent steps
@@ -23,11 +27,11 @@
 //     stopping rule's trigger set untouched.
 //
 // The executed process is distributed identically to run_packed's: the same
-// per-configuration law for (next active pair, silent run length), hence the
-// same distribution of (steps-to-stabilization, elected leader, census).
-// Draw *consumption* differs (one uniform01 + one pick per active step
-// instead of one pick per step), so equality is statistical — the 3σ
-// contract of the wellmixed/RCM precedent (tests/test_silent.cpp,
+// per-configuration law for (next oriented pair of an active edge, silent
+// run length), hence the same distribution of (steps-to-stabilization,
+// elected leader, census).  Draw *consumption* differs (one uniform01 + one
+// pick per hit instead of one pick per step), so equality is statistical —
+// the 3σ contract of the wellmixed/RCM precedent (tests/test_silent.cpp,
 // bench/silent.cpp) — not per-seed.
 //
 // If the active set empties while the predicate is false the configuration
@@ -59,17 +63,16 @@
 namespace pp {
 
 // Incidence view for the activity re-evaluation walks: for every node, the
-// indices of its incident edges (row v lists each edge exactly once; both
-// oriented pairs j and j + m of edge j are re-evaluated when either endpoint
-// flips, so no orientation flag is stored).  Width-independent — neighbor
-// ids come from the packed_endpoints array — and built once per tuned_runner
-// (lazily, first silent run), then shared read-only across trials.
+// indices of its incident edges (row v lists each edge exactly once).
+// Width-independent — neighbor ids come from the packed_endpoints array —
+// and built once per tuned_runner (lazily, first silent run), then shared
+// read-only across trials.
 struct silent_adjacency {
   explicit silent_adjacency(const graph& g) {
     const auto n = static_cast<std::size_t>(g.num_nodes());
     const auto m = static_cast<std::uint64_t>(g.num_edges());
     expects(2 * m <= std::numeric_limits<std::uint32_t>::max(),
-            "silent_adjacency: oriented pair indices exceed u32");
+            "silent_adjacency: incidence entries exceed u32");
     offsets.assign(n + 1, 0);
     for (const edge& e : g.edges()) {
       ++offsets[static_cast<std::size_t>(e.u) + 1];
@@ -98,25 +101,24 @@ struct silent_adjacency {
   }
 };
 
-// The active oriented-pair set: O(1) membership toggle (swap-with-last
-// removal through a position index), uniform draw by index.  Sized for
-// 2m oriented pairs.
-class active_pair_set {
+// The active edge set: O(1) membership toggle (swap-with-last removal
+// through a position index), uniform draw by index.  Sized for m edges.
+class active_edge_set {
  public:
-  explicit active_pair_set(std::uint64_t two_m)
-      : pos_(static_cast<std::size_t>(two_m), kNone) {}
+  explicit active_edge_set(std::uint64_t m)
+      : pos_(static_cast<std::size_t>(m), kNone) {}
 
   std::uint64_t size() const { return list_.size(); }
   std::uint32_t at(std::uint64_t i) const {
     return list_[static_cast<std::size_t>(i)];
   }
 
-  void set(std::uint32_t k, bool active) {
-    std::uint32_t& p = pos_[k];
+  void set(std::uint32_t j, bool active) {
+    std::uint32_t& p = pos_[j];
     if (active) {
       if (p != kNone) return;
       p = static_cast<std::uint32_t>(list_.size());
-      list_.push_back(k);
+      list_.push_back(j);
     } else {
       if (p == kNone) return;
       const std::uint32_t last = list_.back();
@@ -161,27 +163,27 @@ election_result run_silent(const compiled_protocol<P>& compiled,
   const std::uint64_t m = pairs.m;
   const W* const config = run.config.data();
 
-  // Activity of oriented pair k under the *current* config.
-  const auto pair_active = [&](std::uint64_t k) {
-    const detail::drawn_pair p = pairs.at(k);
-    const W ca = config[p.u];
-    const W cb = config[p.v];
-    const packed_entry<W> e = table.at(ca, cb);
-    return e.a2 != ca || e.b2 != cb;
+  // Activity of edge j under the *current* config: either orientation's
+  // transition would change a word.
+  const auto edge_active = [&](std::uint32_t j) {
+    const auto& pr = pairs.pairs[j];
+    const W ca = config[pr.a];
+    const W cb = config[pr.b];
+    const packed_entry<W> fwd = table.at(ca, cb);
+    if (fwd.a2 != ca || fwd.b2 != cb) return true;
+    const packed_entry<W> rev = table.at(cb, ca);
+    return rev.a2 != cb || rev.b2 != ca;
   };
 
-  active_pair_set active(pairs.two_m);
-  for (std::uint64_t k = 0; k < pairs.two_m; ++k) {
-    active.set(static_cast<std::uint32_t>(k), pair_active(k));
+  active_edge_set active(m);
+  for (std::uint32_t j = 0; j < m; ++j) {
+    if (edge_active(j)) active.set(j, true);
   }
-  // Re-evaluates both orientations of every edge incident to v.  An edge
-  // whose other endpoint also flipped this step gets walked twice; the
-  // evaluation reads the current config, so the second pass is a no-op.
+  // Re-evaluates every edge incident to v.  An edge whose other endpoint
+  // also flipped this step gets walked twice; the evaluation reads the
+  // current config, so the second pass is a no-op.
   const auto reeval_node = [&](std::size_t v) {
-    for (const std::uint32_t j : adj.row(v)) {
-      active.set(j, pair_active(j));
-      active.set(j + static_cast<std::uint32_t>(m), pair_active(j + m));
-    }
+    for (const std::uint32_t j : adj.row(v)) active.set(j, edge_active(j));
   };
 
   block_rng draw(gen);
@@ -198,22 +200,29 @@ election_result run_silent(const compiled_protocol<P>& compiled,
       return run.finish(options.max_steps, false);
     }
     const std::uint64_t skip = sample_silent_run(
-        [&] { return draw.uniform01(); }, a, pairs.two_m, remaining);
+        [&] { return draw.uniform01(); }, a, m, remaining);
     if constexpr (Probe::enabled) probe->on_draws(1);
     if (skip >= remaining) {
       if constexpr (Probe::enabled) probe->on_steps(remaining, 0);
       return run.finish(options.max_steps, false);
     }
-    // The active step after the silent run: uniform over the active list.
-    const detail::drawn_pair p = pairs.at(active.at(draw.uniform_below(a)));
+    // The step after the silent run: uniform over the 2A oriented pairs of
+    // the active edges — bits above 0 pick the edge, bit 0 its orientation.
+    const std::uint64_t pick = draw.uniform_below(2 * a);
+    const std::uint64_t j = active.at(pick >> 1);
+    const detail::drawn_pair p = pairs.at((pick & 1) != 0 ? j + m : j);
     if constexpr (Probe::enabled) probe->on_draws(1);
     const W ca = config[p.u];
     const W cb = config[p.v];
     const packed_entry<W> e = table.at(ca, cb);
     steps += skip + 1;
-    if constexpr (Probe::enabled) probe->on_steps(skip + 1, 1);
+    const bool changes = e.a2 != ca || e.b2 != cb;
+    if constexpr (Probe::enabled) probe->on_steps(skip + 1, changes ? 1 : 0);
+    // The silent orientation of an active edge: one step, nothing applied,
+    // and the set is unchanged.
+    if (!changes) continue;
     const bool moved = run.apply(p.u, p.v, ca, cb, e);
-    // Membership re-evaluation after both words are stored; the drawn pair
+    // Membership re-evaluation after both words are stored; the drawn edge
     // itself is covered by its endpoints' walks.
     if (e.a2 != ca) reeval_node(p.u);
     if (e.b2 != cb) reeval_node(p.v);

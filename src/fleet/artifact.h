@@ -498,8 +498,8 @@ extern template prepared_sweep prepare_wellmixed<beauquier_protocol>(
     const sweep_artifact*);
 
 // The one artifact rebuild (defined in prepare.cpp): maps the descriptor to
-// its protocol type (fast or star on the tuned engine, fast or six on the
-// well-mixed engine), rebuilds the sweep and validates it against the
+// its protocol type (fast, six or star on the tuned engine, fast or six on
+// the well-mixed engine), rebuilds the sweep and validates it against the
 // artifact.  Throws std::invalid_argument on any missing section,
 // unsupported protocol or divergence — popsimd feeds it artifacts from any
 // TCP peer.

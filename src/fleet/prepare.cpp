@@ -7,6 +7,22 @@
 #include "fleet/artifact.h"
 
 namespace pp::fleet {
+namespace {
+
+// A six-state descriptor names its population, which must be the sweep's
+// agent count.  It is compared as the stored u64, before the protocol's
+// O(population) candidate vector is built, so a hostile value can neither
+// alias the count after narrowing to node_id nor make the rebuild allocate.
+beauquier_protocol six_protocol_for(const protocol_desc& desc,
+                                    std::uint64_t agents) {
+  expects(static_cast<std::uint64_t>(six_population_of(desc)) == agents &&
+              desc.params[0] == agents,
+          "artifact: six-state population differs from the sweep's agent "
+          "count");
+  return beauquier_protocol(static_cast<node_id>(agents));
+}
+
+}  // namespace
 
 prepared_sweep prepare_sweep(const sweep_artifact& artifact) {
   const protocol_desc& desc = artifact.protocol;
@@ -20,8 +36,14 @@ prepared_sweep prepare_sweep(const sweep_artifact& artifact) {
       return prepare_tuned(star_protocol{}, std::move(g), tuning,
                            artifact.family, desc, &artifact);
     }
+    if (desc.kind == protocol_kind::six) {
+      beauquier_protocol proto = six_protocol_for(
+          desc, static_cast<std::uint64_t>(g.num_nodes()));
+      return prepare_tuned(std::move(proto), std::move(g), tuning,
+                           artifact.family, desc, &artifact);
+    }
     expects(desc.kind == protocol_kind::fast,
-            "artifact: tuned artifacts carry the fast or star protocol");
+            "artifact: tuned artifacts carry the fast, six or star protocol");
     return prepare_tuned(fast_protocol(fast_params_of(desc)), std::move(g),
                          tuning, artifact.family, desc, &artifact);
   }
@@ -35,8 +57,8 @@ prepared_sweep prepare_sweep(const sweep_artifact& artifact) {
   }
   expects(desc.kind == protocol_kind::six,
           "artifact: well-mixed artifacts carry the fast or six protocol");
-  return prepare_wellmixed(beauquier_protocol(six_population_of(desc)), n,
-                           artifact.family, desc, &artifact);
+  return prepare_wellmixed(six_protocol_for(desc, n), n, artifact.family, desc,
+                           &artifact);
 }
 
 }  // namespace pp::fleet

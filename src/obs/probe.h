@@ -39,7 +39,10 @@ struct census_sample {
 };
 
 // One sampled point of the silent scheduler's active-set trajectory: how
-// many of the 2m oriented pairs were non-silent after `step` steps.
+// many of the m edges were active (at least one orientation non-silent)
+// after `step` steps.  The field keeps its historical name, which
+// consumers such as the election-sweep benchmark (electbench/) read; it
+// counts edges, not the 2m oriented pairs.
 struct active_set_sample {
   std::uint64_t step = 0;
   std::uint64_t active_pairs = 0;
@@ -60,7 +63,7 @@ struct probe_window {
   std::uint64_t steps = 0;         // steps attributed to this window
   std::uint64_t active_steps = 0;  // of those, steps that changed state
   std::uint64_t census_moves = 0;  // sum |Δtotal| over census samples seen
-  std::uint64_t active_pairs = 0;  // last active-set sample (0 if none yet)
+  std::uint64_t active_pairs = 0;  // last active-edge sample (0 if none yet)
   // Wall clock at window close (steady, ns since the probe was built).
   // Deliberately excluded from operator==: it is the only
   // non-deterministic field, present for live rate/ETA display only.

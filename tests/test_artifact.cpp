@@ -284,6 +284,26 @@ TEST(Artifact, PrepareSweepRebuildsTheProducersSweep) {
     }
   }
 
+  // The six-state protocol on the tuned engine, run (as popsim runs it) on
+  // the silent scheduler.
+  const beauquier_protocol bq(fx.g.num_nodes());
+  const tuned_runner<beauquier_protocol> bq_runner(bq, fx.g);
+  const sweep_artifact six_tuned =
+      make_tuned_artifact(bq_runner, fx.g, "cycle", six_desc(fx.g.num_nodes()));
+  const prepared_sweep six_sweep = prepare_sweep(six_tuned);
+  ASSERT_NE(six_sweep.g, nullptr);
+  EXPECT_EQ(six_sweep.population, 200u);
+  EXPECT_EQ(six_sweep.pack_bits, 8);
+  EXPECT_TRUE(six_sweep.snapshot() == six_tuned);
+  const sim_options silent{.scheduler = scheduler_kind::silent};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const election_result want = bq_runner.run(rng(seed), silent);
+    const election_result got = six_sweep.run(rng(seed), silent, nullptr);
+    EXPECT_TRUE(got.stabilized) << "seed " << seed;
+    EXPECT_EQ(got.steps, want.steps) << "seed " << seed;
+    EXPECT_EQ(got.leader, want.leader) << "seed " << seed;
+  }
+
   const std::uint64_t n = 500;
   const beauquier_protocol six(500);
   const sweep_artifact wm =
@@ -308,13 +328,30 @@ TEST(Artifact, PrepareSweepRejectsHostileArtifacts) {
 
   sweep_artifact six_on_tuned = tuned;
   six_on_tuned.protocol = six_desc(200);
+  // A genuine six artifact whose population is not the graph's node count,
+  // once directly and once aliasing it modulo 2^32.
+  const beauquier_protocol bq(fx.g.num_nodes());
+  const sweep_artifact six_tuned = make_tuned_artifact(
+      tuned_runner<beauquier_protocol>(bq, fx.g), fx.g, "cycle",
+      six_desc(fx.g.num_nodes()));
+  sweep_artifact six_wrong_population = six_tuned;
+  six_wrong_population.protocol = six_desc(201);
+  sweep_artifact six_aliased_population = six_tuned;
+  six_aliased_population.protocol.params[0] += std::uint64_t{1} << 32;
+  // A well-mixed six descriptor naming more agents than the multiset holds.
+  sweep_artifact six_wellmixed_wrong_population = wellmixed;
+  six_wellmixed_wrong_population.protocol = six_desc(501);
   sweep_artifact star_on_wellmixed = wellmixed;
   star_on_wellmixed.protocol = star_desc();
   sweep_artifact tuned_without_graph = tuned;
   tuned_without_graph.graph.reset();
   sweep_artifact wellmixed_without_multiset = wellmixed;
   wellmixed_without_multiset.wellmixed.reset();
-  for (const sweep_artifact* hostile : {&six_on_tuned, &star_on_wellmixed,
+  EXPECT_NO_THROW(prepare_sweep(six_tuned));
+  for (const sweep_artifact* hostile : {&six_on_tuned, &six_wrong_population,
+                                        &six_aliased_population,
+                                        &six_wellmixed_wrong_population,
+                                        &star_on_wellmixed,
                                         &tuned_without_graph,
                                         &wellmixed_without_multiset}) {
     EXPECT_THROW(prepare_sweep(*hostile), std::invalid_argument);

@@ -6,10 +6,13 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/experiment.h"
 #include "core/simulator.h"
 #include "core/stable_checker.h"
+#include "engine/engine.h"
 #include "graph/generators.h"
 #include "sched/scheduler.h"
+#include "stat_gate.h"
 #include "support/stats.h"
 
 namespace pp {
@@ -234,47 +237,51 @@ TEST(BeauquierProtocol, TrackerMatchesBruteForceOnTinyGraphs) {
   }
 }
 
-TEST(BeauquierEventDriven, AgreesWithNaiveInDistribution) {
-  const graph g = make_cycle(16);
-  const beauquier_protocol proto(16);
-  std::vector<double> naive;
-  std::vector<double> event;
-  rng seed(10);
-  for (int t = 0; t < 150; ++t) {
-    const auto rn = run_until_stable(proto, g, seed.fork(2 * t));
-    const auto re = run_beauquier_event_driven(proto, g, seed.fork(2 * t + 1),
-                                               UINT64_MAX);
-    ASSERT_TRUE(rn.stabilized);
-    ASSERT_TRUE(re.stabilized);
-    naive.push_back(static_cast<double>(rn.steps));
-    event.push_back(static_cast<double>(re.steps));
-  }
-  const auto a = summarize(naive);
-  const auto b = summarize(event);
-  EXPECT_NEAR(a.mean, b.mean, 3 * (a.ci95_halfwidth + b.ci95_halfwidth));
+// The six-state protocol runs on the compiled engine's silent scheduler
+// (src/engine/silent/): only token holders' edges are active, so silent runs
+// are skipped in O(1).
+sim_options silent_options(std::uint64_t max_steps = UINT64_MAX) {
+  return {.max_steps = max_steps, .scheduler = scheduler_kind::silent};
 }
 
-TEST(BeauquierEventDriven, RespectsMaxSteps) {
+TEST(BeauquierSilent, AgreesWithNaiveInDistribution) {
+  // The silent scheduler against the reference simulator itself, not only
+  // against the engine's step scheduler (tests/test_silent.cpp).
+  const graph g = make_cycle(16);
+  const beauquier_protocol proto(16);
+  const tuned_runner<beauquier_protocol> runner(proto, g);
+  rng seed(10);
+  const auto naive = measure_election(proto, g, 150, seed.fork(0));
+  const auto silent =
+      measure_election_tuned(runner, 150, seed.fork(1), silent_options());
+  stat_gate::expect_step_agreement(naive, silent,
+                                   "silent vs run_until_stable: beauquier cycle");
+}
+
+TEST(BeauquierSilent, RespectsMaxSteps) {
   const graph g = make_cycle(32);
   const beauquier_protocol proto(32);
-  const auto r = run_beauquier_event_driven(proto, g, rng(11), 10);
+  const tuned_runner<beauquier_protocol> runner(proto, g);
+  const auto r = runner.run(rng(11), silent_options(10));
   EXPECT_FALSE(r.stabilized);
   EXPECT_EQ(r.steps, 10u);
 }
 
-TEST(BeauquierEventDriven, DeterministicGivenSeed) {
+TEST(BeauquierSilent, DeterministicGivenSeed) {
   const graph g = make_star(20);
   const beauquier_protocol proto(20);
-  const auto a = run_beauquier_event_driven(proto, g, rng(12), UINT64_MAX);
-  const auto b = run_beauquier_event_driven(proto, g, rng(12), UINT64_MAX);
+  const tuned_runner<beauquier_protocol> runner(proto, g);
+  const auto a = runner.run(rng(12), silent_options());
+  const auto b = runner.run(rng(12), silent_options());
   EXPECT_EQ(a.steps, b.steps);
   EXPECT_EQ(a.leader, b.leader);
 }
 
-TEST(BeauquierEventDriven, StableConfigurationVerifiedByBruteForce) {
+TEST(BeauquierSilent, StableConfigurationVerifiedByBruteForce) {
   const graph g = make_path(3);
   const beauquier_protocol proto(3);
-  const auto r = run_beauquier_event_driven(proto, g, rng(13), UINT64_MAX);
+  const tuned_runner<beauquier_protocol> runner(proto, g);
+  const auto r = runner.run(rng(13), silent_options());
   ASSERT_TRUE(r.stabilized);
   // Rebuild the stable configuration shape: unique candidate with black token.
   std::vector<bq_state> config(3, bq_state{false, bq_token::none});

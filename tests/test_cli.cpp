@@ -83,7 +83,6 @@ TEST(CliExitCodes, InvalidInvocationsExitNonzero) {
       "clique 100 id --jobs 2",                  // fleet needs the engine
       "clique 100 id --save-artifact /tmp/x",    // artifacts need the engine
       "clique 100 id --order bfs",               // tuning needs the engine
-      "cycle 100 six --pack 8",                  // tuning needs the engine
       "cycle 100 fast --engine wellmixed",       // wellmixed needs clique
       "clique 100 star --engine wellmixed",      // no multiset star engine
       "clique 100 star --pack 64",               // unsupported width
@@ -169,9 +168,27 @@ TEST(CliExitCodes, StarRunsOnTheTunedEngineWithTuningFlags) {
   EXPECT_NE(tuned.out.find("stabilized: 100%"), std::string::npos);
 }
 
+TEST(CliExitCodes, SixRunsOnTheTunedEngineWithTuningFlags) {
+  // Protocol six goes through the compiled engine on the silent scheduler,
+  // so the tuning flags are valid six invocations.
+  const cli_result plain = run_cli("cycle 100 six --trials 3 --seed 2");
+  EXPECT_EQ(plain.code, 0);
+  EXPECT_NE(plain.out.find("engine: order=natural pack=u8 scheduler=silent"),
+            std::string::npos);
+  EXPECT_NE(plain.out.find("stabilized: 100%"), std::string::npos);
+
+  const cli_result tuned =
+      run_cli("cycle 100 six --trials 3 --seed 2 --order rcm --pack 8");
+  EXPECT_EQ(tuned.code, 0);
+  EXPECT_NE(tuned.out.find("engine: order=rcm pack=u8 scheduler=silent"),
+            std::string::npos);
+  EXPECT_NE(tuned.out.find("stabilized: 100%"), std::string::npos);
+}
+
 // Exact stdout of one sweep per engine and report shape: the tuned engine
-// (fast, star, silent scheduler, reordered + forced width), the well-mixed
-// engine (fast, six) and the reference simulators (id, six).  The
+// (fast, star, six and fast on the silent scheduler, reordered + forced
+// width), the well-mixed engine (fast, six) and the reference simulator
+// (id).  The
 // serial-vs-fleet diffs below cannot see a change that moves both sides
 // together; these rows can.  They pin seeded trajectories, so after a
 // deliberate change of draw consumption or of the report, regenerate them by
@@ -199,8 +216,8 @@ TEST(CliGolden, StdoutMatchesRecordedSweeps) {
        "graph: rr8 n=400 m=1600 Δ=8\n"
        "engine: order=natural pack=u16 scheduler=silent\n"
        "stabilized: 100% of 3 trials\n"
-       "steps: mean 232564 (sd 21304, median 225522, [q10,q90]=[217643, 250303])\n"
-       "sample leader: node 69\n"},
+       "steps: mean 212542 (sd 26958, median 205430, [q10,q90]=[192968, 234960])\n"
+       "sample leader: node 27\n"},
       {"clique 3000 fast --engine wellmixed --trials 4 --seed 9",
        "well-mixed clique: n=3000 (multiset configuration, no edge list)\n"
        "stabilized: 100% of 4 trials\n"
@@ -218,9 +235,10 @@ TEST(CliGolden, StdoutMatchesRecordedSweeps) {
        "sample leader: node 33\n"},
       {"cycle 64 six --trials 3 --seed 3",
        "graph: cycle n=64 m=64 Δ=2\n"
+       "engine: order=natural pack=u8 scheduler=silent\n"
        "stabilized: 100% of 3 trials\n"
-       "steps: mean 15202 (sd 3718, median 14437, [q10,q90]=[12427, 18282])\n"
-       "sample leader: node 20\n"},
+       "steps: mean 22988 (sd 6752, median 25381, [q10,q90]=[17368, 27650])\n"
+       "sample leader: node 23\n"},
       {"torus 400 fast --order rcm --pack 16 --trials 3 --seed 4",
        "graph: torus n=400 m=800 Δ=4\n"
        "engine: order=rcm pack=u16\n"
@@ -249,7 +267,7 @@ TEST(CliFleet, ArtifactSweepStdoutIsIdenticalSerialVsJobs) {
   const std::string artifact = dir + "/cli_fleet.ppaf";
   const std::string resaved = dir + "/cli_fleet_resaved.ppaf";
   // The silent scheduler is a runtime knob outside the artifact, so it is
-  // passed again at load time.
+  // passed again at load time; six picks it on its own.
   struct sweep_case {
     std::string positional;
     std::string load_flags;
@@ -258,6 +276,7 @@ TEST(CliFleet, ArtifactSweepStdoutIsIdenticalSerialVsJobs) {
   const sweep_case cases[] = {
       {"cycle 400 fast", "", "3"},
       {"rr8 400 fast --engine silent", " --engine silent", "2"},
+      {"cycle 400 six", "", "4"},
   };
   const std::string run_flags = " --trials 8 --seed 5";
   for (const sweep_case& c : cases) {

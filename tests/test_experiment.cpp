@@ -71,11 +71,13 @@ TEST(MeasureElection, CapsReportPartialStabilization) {
   EXPECT_LT(summary.stabilized_fraction, 1.0);
 }
 
-TEST(MeasureBeauquierEventDriven, AgreesWithGenericRunner) {
+TEST(MeasureElectionTuned, SilentBeauquierAgreesWithGenericRunner) {
   const graph g = make_cycle(16);
   const beauquier_protocol proto(16);
   const auto generic = measure_election(proto, g, 64, rng(6));
-  const auto event = measure_beauquier_event_driven(proto, g, 64, rng(7), UINT64_MAX);
+  const auto event =
+      measure_election_tuned(tuned_runner<beauquier_protocol>(proto, g), 64,
+                             rng(7), {.scheduler = scheduler_kind::silent});
   EXPECT_DOUBLE_EQ(event.stabilized_fraction, 1.0);
   EXPECT_NEAR(event.steps.mean, generic.steps.mean,
               4 * (generic.steps.ci95_halfwidth + event.steps.ci95_halfwidth));
