@@ -23,9 +23,10 @@
 //             wellmixed runs the O(|Λ|)-memory multiset batch engine
 //             (clique family + fast/six protocols only), which never
 //             materialises the graph and reaches n = 10⁸; silent runs the
-//             event-driven scheduler (src/engine/silent/) that draws only
-//             active edges and jumps the step counter over the waiting
-//             phase (protocols fast, six and star) — statistically
+//             adaptive scheduler (src/engine/silent/): plain uniform steps
+//             while most edges are active, draws over the active edges
+//             with jumps of the step counter while the configuration is
+//             quiet (protocols fast, six and star) — statistically
 //             equivalent to the step scheduler, different seeded
 //             trajectories.  A runtime knob, not part of the artifact: it
 //             is the one --engine value allowed with --load-artifact
@@ -104,6 +105,7 @@
 // and --serve rebuild it from the artifact through fleet::prepare_sweep.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -147,7 +149,8 @@ int usage() {
                "  --trials  positive trial count (default 5)\n"
                "  --seed    64-bit master seed (default 1)\n"
                "  --engine  wellmixed needs family=clique and protocol"
-               " fast|six; silent is the event-driven scheduler"
+               " fast|six; silent is the adaptive scheduler: plain steps"
+               " while most edges are active, jumps over quiet stretches"
                " (protocol fast|six|star, any family; auto picks it for"
                " six)\n"
                "  --order   vertex relabelling for the compiled engine"
@@ -528,6 +531,16 @@ pp::election_summary run_fleet(const std::string& artifact_path,
         inline_fn);
   }
   if (!cfg.metrics_path.empty()) {
+    // The dense share of the silent scheduler's simulated steps, in parts
+    // per million (the snapshot holds integers only).
+    const std::uint64_t steps = metrics.counter("engine.steps");
+    if (options.scheduler == pp::scheduler_kind::silent && steps > 0) {
+      metrics.set("silent.dense_step_frac_ppm",
+                  static_cast<std::int64_t>(
+                      static_cast<double>(metrics.counter("silent.dense_steps")) *
+                          1e6 / static_cast<double>(steps) +
+                      0.5));
+    }
     pp::ensure(metrics.write_json(cfg.metrics_path),
                "popsim: cannot write --metrics " + cfg.metrics_path);
     pp::obs::logf(pp::obs::log_level::info, "popsim: metrics -> %s",
@@ -613,11 +626,12 @@ int run_sweep(const pp::fleet::prepared_sweep& sweep, const cli_config& cfg,
   const int trials = static_cast<int>(cfg.trials);
   // The star protocol can deadlock with several leaders on general graphs
   // (the tracker then never fires), so its runs are step-capped; the fast
-  // protocol always stabilizes.  The six-state protocol is silent-rich from
-  // its first step (only token holders' edges are active), so on a graph its
-  // fastest engine is the silent scheduler.  Workers receive these options
-  // through the manifest, so a sweep's stdout never depends on which path
-  // ran it.
+  // protocol always stabilizes.  The six-state protocol turns quiet as its
+  // tokens merge (only token holders' edges are active), and the silent
+  // scheduler runs plain steps until it does, so it is the fastest engine
+  // for six on every graph, cliques and stars included.  Workers receive
+  // these options through the manifest, so a sweep's stdout never depends
+  // on which path ran it.
   pp::sim_options options;
   if (sweep.protocol.kind == pp::fleet::protocol_kind::star) options.max_steps = 1'000'000;
   const bool six_on_graph =
@@ -691,6 +705,21 @@ struct worker_obs {
     const pp::obs::probe_stats& st = probe.stats();
     if (!trace_path.empty()) {
       trace.begin_at("trial", 0, t0, {pp::obs::trace_arg::num("trial", t)});
+      // One instant per silent-scheduler mode switch: the step, the mode
+      // chosen and what the switch rule observed.  The probe was built just
+      // before t0, so its clock lines up with the trial span's.
+      for (const pp::obs::mode_switch& w : st.switches) {
+        const std::int64_t ts = std::clamp<std::int64_t>(
+            t0 + static_cast<std::int64_t>(w.wall_ns / 1000), t0, t1);
+        trace.instant_at(
+            "mode_switch", 0, ts,
+            {pp::obs::trace_arg::num("step", w.step),
+             pp::obs::trace_arg::str("mode", w.dense ? "dense" : "sparse"),
+             pp::obs::trace_arg::num(
+                 "changing_ppm",
+                 static_cast<std::uint64_t>(w.changing_frac * 1e6 + 0.5)),
+             pp::obs::trace_arg::num("active_edges", w.active_edges)});
+      }
       trace.end_at(
           "trial", 0, t1,
           {pp::obs::trace_arg::num("steps", st.steps),
@@ -713,6 +742,10 @@ struct worker_obs {
       metrics.add("engine.active_set_samples",
                   static_cast<std::uint64_t>(st.active_sets.size()));
       metrics.add("engine.windows_closed", st.windows_closed);
+      if (options.scheduler == pp::scheduler_kind::silent) {
+        metrics.add("silent.dense_steps", st.dense_steps);
+        metrics.add("silent.mode_switches", st.mode_switches);
+      }
       metrics.observe("engine.steps_per_trial", st.steps);
       metrics.observe("engine.silent_steps_per_trial", st.silent_steps());
       metrics.observe("engine.trial_duration_us",

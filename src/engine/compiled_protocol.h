@@ -229,9 +229,13 @@ class compiled_protocol {
   }
 
   // Read-only transition lookup; only valid on a closed table, where every
-  // pair is already compiled.
+  // pair is already compiled.  The check builds its message only on failure:
+  // packed_table calls this k² times, and a std::string per call would be
+  // the largest part of building the table.
   const entry& closed_transition(state_id a, state_id b) const {
-    ensure(closed_, "compiled_protocol: closed_transition on an open table");
+    if (!closed_) [[unlikely]] {
+      ensure(false, "compiled_protocol: closed_transition on an open table");
+    }
     return table_[static_cast<std::size_t>(a) * cap_ + b];
   }
 

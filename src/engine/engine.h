@@ -17,7 +17,8 @@
 // per step; bench/engine.cpp measures the resulting speedup (≥5× on the
 // fast protocol across clique / ring / dense-random graphs).
 //
-// There is one step loop (detail::step_loop) over one per-run election state
+// There is one batched step loop (detail::step_batches, run to max_steps by
+// detail::step_loop) over one per-run election state
 // (detail::election_run); run_compiled and run_packed differ only in the
 // layout they hand it (src/engine/README.md documents both):
 //   * run_compiled — the lazy layout: u32 config words, a lazily filled
@@ -37,7 +38,9 @@
 // isomorphic graph (initial states and the reported leader ride the
 // permutation), so they agree statistically — the wellmixed 3σ contract —
 // but not per seed.  The silent scheduler (silent/silent.h) drives the same
-// election state with its own event-driven choice of the next interaction.
+// election state: through step_batches while most edges are active, and by
+// jumping over the silent runs of its active edge set while the
+// configuration is quiet.
 #pragma once
 
 #include <array>
@@ -383,12 +386,26 @@ struct packed_fetch {
   std::uint64_t two_m;
 };
 
-// The step loop, run on a layout: the pair fetch `pairs` (doubled_fetch or
-// packed_fetch<N>), the table `lookup(a, b)` (a lazy compiled_protocol or a
-// closed packed_table) and the word width W and adjacency rows the `run`
-// state was built with.  `pairs` and `lookup` are taken by value: as the
-// loop's own locals their pointers and bounds stay in registers instead of
-// being reloaded after every (possibly aliasing) config store.
+// What one step_batches call did: the step counter it stopped at, how many
+// of its steps changed a config word (counted only when asked for), and
+// whether it stopped because the run stabilized.
+struct batches_result {
+  std::uint64_t steps = 0;
+  std::uint64_t changing = 0;
+  bool stabilized = false;
+};
+
+// The batched step core, run on a layout: the pair fetch `pairs`
+// (doubled_fetch or packed_fetch<N>), the table `lookup(a, b)` (a lazy
+// compiled_protocol or a closed packed_table) and the word width W and
+// adjacency rows the `run` state was built with.  `pairs` and `lookup` are
+// taken by value: as the loop's own locals their pointers and bounds stay in
+// registers instead of being reloaded after every (possibly aliasing) config
+// store.  It continues a run at step `steps`, draws from the caller's
+// `draw` stream and stops at the step counter `limit` — step_loop runs one
+// call to max_steps, run_silent runs its dense windows through it.
+// kCountChanging asks for the count of steps that changed a word; without
+// it (and without an enabled probe) the count compiles away.
 //
 // Picks are generated a batch ahead of their use: the draw stream does not
 // depend on the configuration, so it drives a two-level software-prefetch
@@ -398,43 +415,48 @@ struct packed_fetch {
 // hints, so the executed trajectory is untouched (prefetching a word that an
 // intervening step overwrites is harmless: the real load sees the stored
 // value).  The draw *order* is unchanged, so runs stay bit-identical to the
-// reference simulator; draws generated past the stopping step are simply
-// discarded (the generator is owned by value).
+// reference simulator; a batch never runs past `limit`, and draws generated
+// past the stabilizing step are simply discarded (the run is over).
 //
-// The max_steps bound is folded into the batch length, and the stability
-// predicate is only re-evaluated after a step that moved its inputs
+// The limit is folded into the batch length, and the stability predicate is
+// only re-evaluated after a step that moved its inputs
 // (election_run::apply) — on zero-delta steps, the overwhelming majority on
 // sparse-token protocols, neither the counter adds nor the predicate run.
 // This is observationally identical to per-step checks (same stopping step,
 // same marks), so seeded equivalence with the reference simulator holds.
-template <typename Run, typename Pairs, typename Lookup>
-election_result step_loop(Run& run, const Pairs pairs, const Lookup lookup,
-                          rng gen, std::uint64_t max_steps) {
+//
+// Always inlined into its callers (step_loop here, run_silent's out-of-line
+// detail::dense_window), so the draw buffer and the loop's bounds stay in the
+// caller's frame and registers (tools/check_inlining.py guards the draw's
+// inlining in both).
+template <bool kCountChanging, typename Run, typename Pairs, typename Lookup>
+[[gnu::always_inline]] inline batches_result step_batches(
+    Run& run, const Pairs pairs, const Lookup lookup, block_rng& draw,
+    std::uint64_t steps, std::uint64_t limit) {
   using Probe = typename Run::probe_type;
   [[maybe_unused]] Probe* const probe = run.probe;
   const auto* const config = run.config.data();
-  block_rng draw(gen);
   constexpr std::size_t kBatch = 256;
   constexpr std::size_t kPairAhead = 16;
   constexpr std::size_t kConfAhead = 8;
   std::uint64_t picks[kBatch];
 
-  std::uint64_t steps = 0;
+  [[maybe_unused]] std::uint64_t changing = 0;
   while (!run.stable()) {
-    if (steps >= max_steps) return run.finish(steps, false);
-    const std::uint64_t remaining = max_steps - steps;
+    if (steps >= limit) return {steps, changing, false};
+    const std::uint64_t remaining = limit - steps;
     const std::size_t len =
         remaining < kBatch ? static_cast<std::size_t>(remaining) : kBatch;
     for (std::size_t i = 0; i < len; ++i) {
       picks[i] = draw.uniform_below(pairs.two_m);
     }
     if constexpr (Probe::enabled) probe->on_draws(len);
-    // Step/active counts accumulate in locals and flush once per batch: a
+    // Step/changing counts accumulate in locals and flush once per batch: a
     // per-step read-modify-write through the probe pointer is measurable at
     // this loop's step rate, a register add is not (bench/obs.cpp gates the
     // enabled path at <= 10%).
-    [[maybe_unused]] const std::uint64_t probe_base = steps;
-    [[maybe_unused]] std::uint64_t probe_active = 0;
+    [[maybe_unused]] const std::uint64_t batch_base = steps;
+    [[maybe_unused]] std::uint64_t batch_changing = 0;
     for (std::size_t i = 0; i < len; ++i) {
       if (i + kPairAhead < len) {
         __builtin_prefetch(pairs.line(picks[i + kPairAhead]), /*rw=*/0,
@@ -450,8 +472,8 @@ election_result step_loop(Run& run, const Pairs pairs, const Lookup lookup,
       const auto cb = config[p.v];
       const auto e = lookup(ca, cb);
       ++steps;
-      if constexpr (Probe::enabled) {
-        probe_active += (e.a2 != ca || e.b2 != cb) ? 1u : 0u;
+      if constexpr (kCountChanging || Probe::enabled) {
+        batch_changing += (e.a2 != ca || e.b2 != cb) ? 1u : 0u;
       }
       if (run.apply(p.u, p.v, ca, cb, e) && run.stable()) break;
       // Sampled after the delta lands, so a sample at step s reports the
@@ -460,10 +482,22 @@ election_result step_loop(Run& run, const Pairs pairs, const Lookup lookup,
       run.sample(steps);
     }
     if constexpr (Probe::enabled) {
-      probe->on_steps(steps - probe_base, probe_active);
+      probe->on_steps(steps - batch_base, batch_changing);
     }
+    if constexpr (kCountChanging) changing += batch_changing;
   }
-  return run.finish(steps, true);
+  return {steps, changing, true};
+}
+
+// The step loop: one run from step 0 to max_steps through step_batches, on a
+// block_rng over `gen`.
+template <typename Run, typename Pairs, typename Lookup>
+election_result step_loop(Run& run, const Pairs pairs, const Lookup lookup,
+                          rng gen, std::uint64_t max_steps) {
+  block_rng draw(gen);
+  const batches_result r =
+      step_batches<false>(run, pairs, lookup, draw, 0, max_steps);
+  return run.finish(r.steps, r.stabilized);
 }
 
 // Checks the inputs run_packed and run_silent share and returns the run's
@@ -588,8 +622,8 @@ election_result run_packed(const compiled_protocol<P>& compiled,
 
 }  // namespace pp
 
-// The event-driven silent-edge scheduler (run_silent + silent_adjacency)
-// builds on the packed views defined above; tuned_runner below dispatches
+// The adaptive silent scheduler (run_silent + silent_index) builds on the
+// packed views and the step core defined above; tuned_runner below dispatches
 // into it when sim_options::scheduler == scheduler_kind::silent.
 #include "engine/silent/silent.h"  // NOLINT(build/include_order)
 
@@ -815,22 +849,30 @@ class tuned_runner {
     // counter-shaped protocols, for which the loops ignore the view.
     const auto* csr = std::get_if<packed_csr<N>>(&csr_);
     if (options.scheduler == scheduler_kind::silent) {
-      return run_silent(compiled_, table, edges, incidence(), run_graph(), gen,
+      return run_silent(compiled_, table, edges, index(), run_graph(), gen,
                         options, map, csr, &start, probe);
     }
     return run_packed(compiled_, table, edges, run_graph(), gen, options, map,
                       csr, &start, probe);
   }
 
-  // The silent scheduler's incidence rows, built on first use and then
-  // shared read-only across trials.  std::call_once makes the lazy build
-  // safe for run()'s concurrent-trial contract (the TSan CI job covers
-  // this path).
-  const silent_adjacency& incidence() const {
-    std::call_once(adjacency_once_, [this] {
-      silent_adjacency_.emplace(run_graph());
+  // The silent scheduler's index (incidence rows + pair activity bits),
+  // built on first use — so the build stays out of the runner's setup — and
+  // then shared read-only across trials.  std::call_once makes the lazy
+  // build safe for run()'s concurrent-trial contract (the TSan CI job
+  // covers this path).
+  const silent_index& index() const {
+    std::call_once(index_once_, [this] {
+      std::visit(
+          [this](const auto& t) {
+            if constexpr (!std::is_same_v<std::decay_t<decltype(t)>,
+                                          std::monostate>) {
+              silent_index_.emplace(run_graph(), t);
+            }
+          },
+          table_);
     });
-    return *silent_adjacency_;
+    return *silent_index_;
   }
 
   const P* proto_;
@@ -857,10 +899,10 @@ class tuned_runner {
       start_;
   std::optional<edge_endpoints> fallback_edges_;  // lazy fallback only
   std::size_t fallback_table_bytes_ = 0;          // released table's footprint
-  // Lazily built silent-scheduler incidence rows (mutable: run() is const
-  // and thread-safe; call_once guards the build).
-  mutable std::once_flag adjacency_once_;
-  mutable std::optional<silent_adjacency> silent_adjacency_;
+  // Lazily built silent-scheduler index (mutable: run() is const and
+  // thread-safe; call_once guards the build).
+  mutable std::once_flag index_once_;
+  mutable std::optional<silent_index> silent_index_;
 };
 
 }  // namespace pp

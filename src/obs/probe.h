@@ -48,6 +48,24 @@ struct active_set_sample {
   std::uint64_t active_pairs = 0;
 };
 
+// One mode switch of the silent scheduler (engine/silent/silent.h), which
+// runs dense windows of plain uniform steps while most edges are active and
+// jumps over silent runs of a sparse active edge set while the configuration
+// is quiet.  The observations are the ones the switch rule read.
+struct mode_switch {
+  std::uint64_t step = 0;    // steps simulated when the mode changed
+  bool dense = false;        // the mode chosen: dense windows or sparse jumps
+  // Fraction of steps that changed a config word in the stretch the run
+  // leaves: the last dense window, or the sparse stretch since it began.
+  double changing_frac = 0;
+  // Active edges at the switch: the rebuilt set on entering sparse mode, the
+  // set that made the run leave it (a_hi + 1 when the list cap stopped it).
+  std::uint64_t active_edges = 0;
+  // Wall clock at the switch (steady, ns since the probe was built); the
+  // only non-deterministic field, for trace timestamps only.
+  std::uint64_t wall_ns = 0;
+};
+
 // One closed fixed-interval window of the run: the streaming form of the
 // probe counters.  Window w covers steps [w*len, (w+1)*len) of the step
 // counter; boundaries are crossed deterministically (engines report steps
@@ -63,7 +81,12 @@ struct probe_window {
   std::uint64_t steps = 0;         // steps attributed to this window
   std::uint64_t active_steps = 0;  // of those, steps that changed state
   std::uint64_t census_moves = 0;  // sum |Δtotal| over census samples seen
-  std::uint64_t active_pairs = 0;  // last active-edge sample (0 if none yet)
+  // Last active-edge sample in sparse mode; 0 if none since the window
+  // opened or the run last entered dense mode.
+  std::uint64_t active_pairs = 0;
+  // Of `steps`, steps run in the silent scheduler's dense mode (0 outside
+  // run_silent): the window's split between the two modes.
+  std::uint64_t dense_steps = 0;
   // Wall clock at window close (steady, ns since the probe was built).
   // Deliberately excluded from operator==: it is the only
   // non-deterministic field, present for live rate/ETA display only.
@@ -80,7 +103,8 @@ struct probe_window {
     return a.index == b.index && a.steps == b.steps &&
            a.active_steps == b.active_steps &&
            a.census_moves == b.census_moves &&
-           a.active_pairs == b.active_pairs;  // wall_ns excluded by design
+           a.active_pairs == b.active_pairs &&
+           a.dense_steps == b.dense_steps;  // wall_ns excluded by design
   }
   friend bool operator!=(const probe_window& a, const probe_window& b) {
     return !(a == b);
@@ -95,9 +119,16 @@ struct probe_stats {
   std::uint64_t table_fills = 0;      // lazy pair-transition compilations
   std::uint64_t batches = 0;          // wellmixed batches applied
   std::uint64_t batch_retries = 0;    // wellmixed half-B retries
+  // Silent scheduler only: steps run in dense mode, and switches between
+  // dense and sparse mode (the initial dense mode is not a switch).
+  std::uint64_t dense_steps = 0;
+  std::uint64_t mode_switches = 0;
   std::vector<census_sample> census;  // sampled trajectory, step-ascending
   // Active-pair trajectory (silent scheduler only), step-ascending.
   std::vector<active_set_sample> active_sets;
+  // The first kMaxSamples mode switches, step-ascending (mode_switches
+  // counts all of them).
+  std::vector<mode_switch> switches;
   // Ring of the most recent closed windows (window_len != 0 only),
   // index-ascending.  Bounded at run_probe::kMaxWindows: the oldest window
   // is dropped when a new one closes, so arbitrarily long runs keep a
@@ -125,6 +156,7 @@ struct null_probe {
   void on_census(std::uint64_t, const std::int64_t*, int) {}
   bool want_active_set(std::uint64_t) const { return false; }
   void on_active_set(std::uint64_t, std::uint64_t) {}
+  void on_mode(const mode_switch&) {}
 };
 
 // The full probe.  `stride` controls census sampling: a sample is recorded
@@ -164,6 +196,7 @@ class run_probe {
   void on_steps(std::uint64_t steps, std::uint64_t active) {
     stats_.steps += steps;
     stats_.active_steps += active;
+    if (mode_ == kDense) stats_.dense_steps += steps;
     if (window_len_ != 0 && stats_.steps >= window_next_) roll_windows();
   }
   void on_predicate_evals(std::uint64_t n) { stats_.predicate_evals += n; }
@@ -213,6 +246,28 @@ class run_probe {
     if (stats_.active_sets.size() >= kMaxSamples) thin_active();
   }
 
+  // The silent scheduler's mode, reported at step 0 when a run starts and
+  // then at every switch (never at step 0); steps reported in dense mode
+  // count as dense steps.  Entering dense mode drops the window's last
+  // active-set sample: dense windows keep no active set, so the count would
+  // be stale.
+  void on_mode(const mode_switch& s) {
+    const int mode = s.dense ? kDense : kSparse;
+    if (s.step != 0 && mode_ != kUnset && mode != mode_) {
+      ++stats_.mode_switches;
+      if (stats_.switches.size() < kMaxSamples) {
+        mode_switch event = s;
+        event.wall_ns = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - epoch_)
+                .count());
+        stats_.switches.push_back(event);
+      }
+    }
+    mode_ = mode;
+    if (s.dense) win_active_pairs_ = 0;
+  }
+
   // Closes the trailing partial window, if any steps accumulated since the
   // last boundary.  Call once after the run completes; window boundaries
   // proper never depend on it.
@@ -238,6 +293,8 @@ class run_probe {
     window_closed_active_ = 0;
     win_census_moves_ = 0;
     win_active_pairs_ = 0;
+    window_closed_dense_ = 0;
+    mode_ = kUnset;
     have_last_census_ = false;
     epoch_ = std::chrono::steady_clock::now();
   }
@@ -260,12 +317,14 @@ class run_probe {
     w.active_steps = stats_.active_steps - window_closed_active_;
     w.census_moves = win_census_moves_;
     w.active_pairs = win_active_pairs_;
+    w.dense_steps = stats_.dense_steps - window_closed_dense_;
     w.wall_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - epoch_)
             .count());
     window_closed_steps_ = stats_.steps;
     window_closed_active_ = stats_.active_steps;
+    window_closed_dense_ = stats_.dense_steps;
     win_census_moves_ = 0;
     if (stats_.windows.size() >= kMaxWindows) {
       stats_.windows.erase(stats_.windows.begin());
@@ -308,6 +367,12 @@ class run_probe {
   std::uint64_t window_closed_active_ = 0;  // active steps already attributed
   std::uint64_t win_census_moves_ = 0;  // census mass in the open window
   std::uint64_t win_active_pairs_ = 0;  // last active-set sample seen
+  std::uint64_t window_closed_dense_ = 0;   // dense steps already attributed
+  // Silent-scheduler mode of the current run (kUnset outside run_silent).
+  static constexpr int kUnset = -1;
+  static constexpr int kSparse = 0;
+  static constexpr int kDense = 1;
+  int mode_ = kUnset;
   census_sample last_census_{};
   bool have_last_census_ = false;
   std::chrono::steady_clock::time_point epoch_;

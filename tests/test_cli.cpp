@@ -216,8 +216,8 @@ TEST(CliGolden, StdoutMatchesRecordedSweeps) {
        "graph: rr8 n=400 m=1600 Δ=8\n"
        "engine: order=natural pack=u16 scheduler=silent\n"
        "stabilized: 100% of 3 trials\n"
-       "steps: mean 212542 (sd 26958, median 205430, [q10,q90]=[192968, 234960])\n"
-       "sample leader: node 27\n"},
+       "steps: mean 232564 (sd 21304, median 225522, [q10,q90]=[217643, 250303])\n"
+       "sample leader: node 69\n"},
       {"clique 3000 fast --engine wellmixed --trials 4 --seed 9",
        "well-mixed clique: n=3000 (multiset configuration, no edge list)\n"
        "stabilized: 100% of 4 trials\n"
@@ -237,8 +237,8 @@ TEST(CliGolden, StdoutMatchesRecordedSweeps) {
        "graph: cycle n=64 m=64 Δ=2\n"
        "engine: order=natural pack=u8 scheduler=silent\n"
        "stabilized: 100% of 3 trials\n"
-       "steps: mean 22988 (sd 6752, median 25381, [q10,q90]=[17368, 27650])\n"
-       "sample leader: node 23\n"},
+       "steps: mean 43890 (sd 14571, median 36794, [q10,q90]=[34740, 55878])\n"
+       "sample leader: node 20\n"},
       {"torus 400 fast --order rcm --pack 16 --trials 3 --seed 4",
        "graph: torus n=400 m=800 Δ=4\n"
        "engine: order=rcm pack=u16\n"

@@ -244,6 +244,48 @@ TEST(ProbeWindows, BoundariesLiveOnTheStepCounter) {
   EXPECT_EQ(probe.stats().windows_closed, 3u);
 }
 
+TEST(ProbeWindows, ModeSwitchesSplitStepsAndDropStaleActiveSamples) {
+  // The silent scheduler reports its mode once at the start and then at
+  // every switch: steps reported in dense mode count as dense steps, only
+  // real changes count as switches, and entering dense mode drops the
+  // window's last active-set sample (dense mode keeps no active set).
+  obs::run_probe probe(16, 100);
+  probe.on_steps(40, 40);  // before any mode report: not a silent run
+  EXPECT_EQ(probe.stats().dense_steps, 0u);
+  probe.on_mode({.step = 40, .dense = true});
+  probe.on_steps(30, 30);
+  probe.on_mode({.step = 70, .dense = false, .changing_frac = 0.01,
+                 .active_edges = 7});
+  probe.on_active_set(75, 7);
+  probe.on_steps(20, 1);
+  probe.on_mode({.step = 90, .dense = false});  // same mode: no switch
+  probe.on_mode({.step = 90, .dense = true, .active_edges = 9});
+  probe.on_steps(30, 30);  // closes window 0 at 120
+  const auto& st = probe.stats();
+  EXPECT_EQ(st.dense_steps, 60u);
+  EXPECT_EQ(st.mode_switches, 2u);
+  ASSERT_EQ(st.switches.size(), 2u);
+  EXPECT_FALSE(st.switches[0].dense);
+  EXPECT_EQ(st.switches[0].step, 70u);
+  EXPECT_DOUBLE_EQ(st.switches[0].changing_frac, 0.01);
+  EXPECT_EQ(st.switches[0].active_edges, 7u);
+  EXPECT_TRUE(st.switches[1].dense);
+  EXPECT_EQ(st.switches[1].active_edges, 9u);
+  ASSERT_EQ(probe.windows().size(), 1u);
+  EXPECT_EQ(probe.windows()[0].dense_steps, 60u);
+  EXPECT_EQ(probe.windows()[0].active_pairs, 0u);  // dropped on going dense
+  // A probe reused without reset: the next run's start (step 0, dense)
+  // after a sparse end is not a switch.
+  probe.on_mode({.step = 150, .dense = false});
+  EXPECT_EQ(st.mode_switches, 3u);
+  probe.on_mode({.step = 0, .dense = true});
+  EXPECT_EQ(st.mode_switches, 3u);
+  probe.reset();
+  EXPECT_EQ(probe.stats().mode_switches, 0u);
+  probe.on_steps(10, 0);  // the reset forgot the mode
+  EXPECT_EQ(probe.stats().dense_steps, 0u);
+}
+
 TEST(ProbeWindows, BatchOvershootClosesEmptyWindows) {
   // A batch spanning several boundaries is attributed to the window where
   // it completes; the overshot windows close with zero steps.

@@ -1,11 +1,13 @@
-// Tests for the event-driven silent-edge scheduler (src/engine/silent/).
+// Tests for the adaptive silent scheduler (src/engine/silent/).
 //
-// The scheduler intentionally trades per-seed equivalence with run_packed
-// for O(active) work (draw consumption differs: one uniform01 + one pick
-// per *active* step instead of one pick per step), so the contracts tested
-// here are: exact jump-sampler boundaries and distribution, exact
-// active-set/incidence bookkeeping, cap and frozen-configuration semantics,
-// determinism for a fixed seed, per-seed golden trajectories, and 3σ
+// Dense mode is the step loop itself; sparse mode trades per-seed
+// equivalence with run_packed for O(active) work (draw consumption differs:
+// one uniform01 + one pick per *active* step instead of one pick per step),
+// so the contracts tested here are: exact jump-sampler boundaries and
+// distribution, exact active-set/incidence bookkeeping, cap and
+// frozen-configuration semantics in both modes, the mode decisions the
+// probe records, determinism for a fixed seed, per-seed golden
+// trajectories, dense-only runs equal to the step loop per seed, and 3σ
 // statistical agreement of stabilization times with the step scheduler
 // (tests/stat_gate.h).
 #include "engine/engine.h"
@@ -110,7 +112,7 @@ TEST(JumpSampler, MatchesGeometricLawChiSquared) {
 // ----------------------------------------------- active set bookkeeping
 
 TEST(ActiveEdgeSet, ToggleAndSwapRemoval) {
-  active_edge_set s(6);
+  active_edge_set s(6, 6);
   EXPECT_EQ(s.size(), 0u);
   s.set(2, true);
   s.set(4, true);
@@ -132,6 +134,45 @@ TEST(ActiveEdgeSet, ToggleAndSwapRemoval) {
   s.set(0, true);  // reusable after draining
   EXPECT_EQ(s.size(), 1u);
   EXPECT_EQ(s.at(0), 0u);
+}
+
+TEST(ActiveEdgeSet, ClearAndReservedCap) {
+  // The list is allocated once at its capacity (a_hi + 1 in run_silent): a
+  // full list is how the scheduler sees the set pass a_hi.
+  active_edge_set s(8, 3);
+  EXPECT_EQ(s.capacity(), 3u);
+  s.set(1, true);
+  s.set(6, true);
+  EXPECT_FALSE(s.full());
+  s.set(6, true);  // idempotent insert does not fill the list
+  EXPECT_FALSE(s.full());
+  s.set(3, true);
+  EXPECT_TRUE(s.full());
+  EXPECT_EQ(s.size(), 3u);
+  s.set(6, false);  // removal frees a slot
+  EXPECT_FALSE(s.full());
+  s.set(6, true);
+  EXPECT_TRUE(s.full());
+  // clear() empties the set and forgets every position: each former member
+  // inserts afresh, and the capacity is unchanged.
+  s.clear();
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_FALSE(s.full());
+  EXPECT_EQ(s.capacity(), 3u);
+  s.set(3, false);  // removing a cleared member is a no-op
+  EXPECT_EQ(s.size(), 0u);
+  s.set(6, true);
+  s.set(1, true);
+  s.set(7, true);
+  EXPECT_TRUE(s.full());
+  std::vector<std::uint32_t> members;
+  for (std::uint64_t i = 0; i < s.size(); ++i) members.push_back(s.at(i));
+  std::sort(members.begin(), members.end());
+  EXPECT_EQ(members, (std::vector<std::uint32_t>{1, 6, 7}));
+  s.set(1, false);
+  s.set(7, false);
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.at(0), 6u);
 }
 
 TEST(SilentAdjacency, IncidenceRowsCoverEveryEdgeTwice) {
@@ -289,6 +330,57 @@ TEST(SilentScheduler, ProbeRecordsActiveSetTrajectory) {
   }
 }
 
+TEST(SilentScheduler, DenseOnlyRunIsTheStepLoopPerSeed) {
+  // Default parameters on a clique never leave dense mode, and dense
+  // windows are the step loop's own batched core on the same draw stream:
+  // such a run is the step scheduler's run, seed for seed.
+  const graph g = make_clique(64);
+  const fast_protocol proto(fast_params::practical_clique(64));
+  const tuned_runner<fast_protocol> runner(proto, g);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    obs::run_probe probe;
+    const auto silent = runner.run(rng(seed), silent_options(), &probe);
+    const auto step = runner.run(rng(seed));
+    EXPECT_EQ(probe.stats().mode_switches, 0u) << "seed " << seed;
+    EXPECT_EQ(probe.stats().dense_steps, silent.steps) << "seed " << seed;
+    EXPECT_EQ(silent.steps, step.steps) << "seed " << seed;
+    EXPECT_EQ(silent.leader, step.leader) << "seed " << seed;
+    EXPECT_TRUE(silent.stabilized) << "seed " << seed;
+  }
+}
+
+TEST(SilentScheduler, BackupRegimeRunTakesBothModes) {
+  // The fast phase keeps most edges active (every interaction ticks a
+  // streak clock), so it runs dense; the two-token backup endgame is quiet,
+  // so it runs sparse.  A backup-dominated run must switch at least once and
+  // spend steps, and changing hits, in each mode.
+  rng gg(61);
+  const graph g = make_random_regular(1000, 8, gg);
+  const fast_protocol proto(backup_regime_params());
+  const tuned_runner<fast_protocol> runner(proto, g);
+  obs::run_probe probe(64);
+  const auto r = runner.run(rng(1), silent_options(), &probe);
+  ASSERT_TRUE(r.stabilized);
+  const auto& st = probe.stats();
+  EXPECT_EQ(st.steps, r.steps);
+  EXPECT_GT(st.dense_steps, 0u);
+  EXPECT_GT(st.steps, st.dense_steps);  // steps simulated in sparse mode
+  EXPECT_FALSE(st.active_sets.empty());  // samples come from sparse hits
+  EXPECT_GE(st.mode_switches, 1u);
+  ASSERT_FALSE(st.switches.empty());
+  // Switches alternate, starting from the initial dense mode.
+  bool dense = true;
+  std::uint64_t prev_step = 0;
+  for (const auto& w : st.switches) {
+    EXPECT_NE(w.dense, dense);
+    EXPECT_GE(w.step, prev_step);
+    dense = w.dense;
+    prev_step = w.step;
+  }
+  EXPECT_FALSE(st.switches[0].dense);
+  EXPECT_LT(st.switches[0].changing_frac, 1.0);
+}
+
 // A one-way epidemic: an infected initiator infects its responder, and no
 // other interaction changes anything.  An edge between an infected and a
 // susceptible node is therefore active, but only one of its orientations is.
@@ -366,6 +458,56 @@ TEST(SilentScheduler, SilentOrientationOfAnActiveEdgeIsOneEmptyStep) {
   }
 }
 
+TEST(SilentScheduler, SilentOrientationHitsInSparseModeAreEmptySteps) {
+  // The one-edge run above never leaves dense mode: one active edge of one
+  // is no quiet configuration.  On a path of 200 nodes the frontier edge is
+  // the whole active set, so the run turns sparse after its first dense
+  // window, and about half its hits draw the frontier's silent orientation:
+  // each must advance the counter without changing a word.
+  const graph g = make_path(200);
+  const one_way_protocol proto;
+  const tuned_runner<one_way_protocol> runner(proto, g);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    obs::run_probe probe;
+    const auto r = runner.run(rng(seed), silent_options(), &probe);
+    ASSERT_TRUE(r.stabilized) << "seed " << seed;
+    const auto& st = probe.stats();
+    EXPECT_EQ(st.steps, r.steps) << "seed " << seed;
+    // Every infection is exactly one active step, in either mode.
+    EXPECT_EQ(st.active_steps, 199u) << "seed " << seed;
+    EXPECT_EQ(st.mode_switches, 1u) << "seed " << seed;
+    ASSERT_EQ(st.switches.size(), 1u) << "seed " << seed;
+    EXPECT_FALSE(st.switches[0].dense) << "seed " << seed;
+    EXPECT_EQ(st.switches[0].active_edges, 1u) << "seed " << seed;
+    // Dense windows draw one pick per step and end on whole batches here;
+    // sparse mode draws a jump and a pick per hit.  At most 199 hits
+    // infected, so a larger count means silent-orientation hits happened.
+    const std::uint64_t sparse_hits = (st.rng_draws - st.dense_steps) / 2;
+    EXPECT_GT(sparse_hits, 199u) << "seed " << seed;
+  }
+}
+
+TEST(SilentScheduler, RespectsMaxStepsExactlyInSparseMode) {
+  // RespectsMaxStepsExactly's run never leaves dense mode; here the cap
+  // lands in sparse mode.  A one-way epidemic on a path has one active edge
+  // (the frontier), so the run turns sparse after its first dense window
+  // and needs ~(n - 1)·2m steps, far past the cap.
+  const graph g = make_path(200);
+  const one_way_protocol proto;
+  const tuned_runner<one_way_protocol> runner(proto, g);
+  for (const std::uint64_t cap : {5000ull, 12345ull}) {
+    obs::run_probe probe;
+    const auto r = runner.run(rng(3), silent_options(cap), &probe);
+    EXPECT_FALSE(r.stabilized) << "cap " << cap;
+    EXPECT_EQ(r.steps, cap);
+    EXPECT_EQ(r.leader, -1);
+    const auto& st = probe.stats();
+    EXPECT_EQ(st.steps, cap);
+    EXPECT_EQ(st.mode_switches, 1u) << "cap " << cap;
+    EXPECT_LT(st.dense_steps, cap) << "cap " << cap;
+  }
+}
+
 // ------------------------------------------------- per-seed trajectories
 
 // (seed, stabilized, steps, leader) of one silent run.
@@ -400,10 +542,10 @@ TEST(SilentScheduler, PerSeedGoldenBackupRegime) {
   const fast_protocol proto(backup_regime_params());
   const tuned_runner<fast_protocol> runner(proto, g);
   expect_golden(runner, silent_options(),
-                {{21, true, 3286ull, 45},
-                 {22, true, 2892ull, 11},
-                 {23, true, 4814ull, 28},
-                 {24, true, 3089ull, 48}});
+                {{21, true, 3963ull, 2},
+                 {22, true, 4032ull, 28},
+                 {23, true, 6998ull, 57},
+                 {24, true, 4502ull, 62}});
 }
 
 TEST(SilentScheduler, PerSeedGoldenStarOnStar) {
@@ -411,10 +553,10 @@ TEST(SilentScheduler, PerSeedGoldenStarOnStar) {
   const star_protocol proto;
   const tuned_runner<star_protocol> runner(proto, g);
   expect_golden(runner, silent_options(),
-                {{1, true, 1ull, 0},
+                {{1, true, 1ull, 20},
                  {2, true, 1ull, 0},
-                 {3, true, 1ull, 34},
-                 {4, true, 1ull, 13}});
+                 {3, true, 1ull, 19},
+                 {4, true, 1ull, 0}});
 }
 
 TEST(SilentScheduler, PerSeedGoldenCappedStarDeadlock) {
@@ -423,8 +565,22 @@ TEST(SilentScheduler, PerSeedGoldenCappedStarDeadlock) {
   const tuned_runner<star_protocol> runner(proto, g);
   expect_golden(runner, silent_options(1'000'000'000'000'000ull),
                 {{13, false, 1'000'000'000'000'000ull, -1},
-                 {14, true, 8ull, 3},
+                 {14, false, 1'000'000'000'000'000ull, -1},
                  {15, false, 1'000'000'000'000'000ull, -1}});
+}
+
+TEST(SilentScheduler, PerSeedGoldenSparseEpidemic) {
+  // The rows above end in dense mode or in a frozen configuration; a
+  // one-way epidemic on a path runs sparse after its first window, so these
+  // rows pin the jump and pick draws of sparse mode.
+  const graph g = make_path(200);
+  const one_way_protocol proto;
+  const tuned_runner<one_way_protocol> runner(proto, g);
+  expect_golden(runner, silent_options(),
+                {{1, true, 75642ull, 0},
+                 {2, true, 75542ull, 0},
+                 {3, true, 81209ull, 0},
+                 {4, true, 83373ull, 0}});
 }
 
 // ------------------------------------------------- statistical agreement
@@ -459,6 +615,27 @@ TEST(SilentScheduler, AgreesWithStepSchedulerFastBackupRegime) {
   const tuned_runner<fast_protocol> runner(proto, g);
   expect_scheduler_agreement(runner, stat_gate::kAgreementTrials, 601,
                              "silent vs step: fast backup regime");
+}
+
+TEST(SilentScheduler, AgreesWithStepSchedulerBeauquierStar) {
+  // The hub re-walk case: while the centre holds a token every edge is
+  // active, so a sparse stretch ends at the active-list cap as soon as a
+  // token reaches the hub, and the run crosses between modes.
+  const graph g = make_star(256);
+  const beauquier_protocol proto(256);
+  const tuned_runner<beauquier_protocol> runner(proto, g);
+  expect_scheduler_agreement(runner, stat_gate::kAgreementTrials, 801,
+                             "silent vs step: beauquier star");
+}
+
+TEST(SilentScheduler, AgreesWithStepSchedulerFastDefaultParamsClique) {
+  // The all-dense case: default parameters on a clique keep nearly every
+  // edge active, so the whole run is dense windows.
+  const graph g = make_clique(64);
+  const fast_protocol proto(fast_params::practical_clique(64));
+  const tuned_runner<fast_protocol> runner(proto, g);
+  expect_scheduler_agreement(runner, stat_gate::kAgreementTrials, 901,
+                             "silent vs step: fast default params clique");
 }
 
 TEST(SilentScheduler, AgreesWithStepSchedulerFastDefaultParams) {
