@@ -9,9 +9,16 @@
 // sequence, so the comparison is step-for-step fair; the `eq` column
 // re-checks that the two step counts agree.
 //
-// Emits BENCH_engine.json (machine-readable rows) next to the table.
+// A second table times the one-off setup a practical-parameter sweep pays
+// before its first trial — the B(G) estimate, the reachability closure and
+// the packed table — against one trial, on clique 200, rr8 2000 and (at
+// PP_BENCH_SCALE >= 1) rr8 10⁴.  The closure is gated at <= 150 ns per
+// compiled pair at scale >= 1: it compiles each of the k² pairs once.
+//
+// Emits BENCH_engine.json (machine-readable rows) next to the tables.
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -21,6 +28,7 @@
 #include "core/fast_election.h"
 #include "core/majority.h"
 #include "core/simulator.h"
+#include "dynamics/epidemic.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
 
@@ -100,7 +108,63 @@ cell run_cell(const std::string& protocol, const std::string& graph_name,
   return c;
 }
 
-// Returns false if any cell broke seeded equivalence (CI fails on it).
+// One-off setup of a practical-parameter fast-protocol sweep on one graph.
+struct setup_cell {
+  std::string graph_name;
+  node_id n = 0;
+  std::size_t k = 0;  // closed state-space size |Λ|
+  double estimate_s = 0;
+  double close_s = 0;
+  double pack_s = 0;
+  double one_trial_s = 0;
+  double close_ns_per_pair() const {
+    return k > 0 ? close_s * 1e9 / (static_cast<double>(k) * static_cast<double>(k))
+                 : 0;
+  }
+};
+
+inline constexpr double kCloseNsPerPairGate = 150.0;
+
+// Times each setup phase as popsim runs it: the B(G) estimate behind
+// fast_params::practical, the closure from the initial states, the packed
+// table at the width tuned_runner resolves, then one trial through a
+// tuned_runner (whose own construction is not timed).
+setup_cell run_setup_cell(const std::string& graph_name, const graph& g,
+                          std::uint64_t seed) {
+  setup_cell c;
+  c.graph_name = graph_name;
+  c.n = g.num_nodes();
+
+  bench::stopwatch estimate_clock;
+  const double b = estimate_worst_case_broadcast_time(g, 30, 6, rng(seed)).value;
+  c.estimate_s = estimate_clock.seconds();
+  const fast_protocol proto(fast_params::practical(g, b));
+
+  compiled_protocol<fast_protocol> compiled(proto);
+  for (node_id v = 0; v < g.num_nodes(); ++v) compiled.intern(proto.initial_state(v));
+  bench::stopwatch close_clock;
+  const bool closed = compiled.close(kEngineClosureBudget);
+  c.close_s = close_clock.seconds();
+  c.k = compiled.num_states();
+  if (!closed) return c;
+
+  bench::stopwatch pack_clock;
+  if (c.k <= 256 && compiled.deltas_fit_nibble()) {
+    const packed_table<std::uint8_t, fast_protocol> table(compiled);
+  } else {
+    const packed_table<std::uint16_t, fast_protocol> table(compiled);
+  }
+  c.pack_s = pack_clock.seconds();
+
+  const tuned_runner<fast_protocol> runner(proto, g);
+  bench::stopwatch trial_clock;
+  runner.run(rng(seed + 1));
+  c.one_trial_s = trial_clock.seconds();
+  return c;
+}
+
+// Returns false if any cell broke seeded equivalence, or if a setup row
+// missed the closure gate at scale >= 1 (CI fails on either).
 bool run() {
   bench::banner("E14", "engine microbenchmark (compiled tables, src/engine/)",
                 "compiled transition table + batched scheduling vs the\n"
@@ -145,6 +209,39 @@ bool run() {
   }
   bench::print_table(table);
 
+  const bool full = bench_scale() >= 1.0;
+  std::vector<setup_cell> setups;
+  setups.push_back(run_setup_cell("clique 200", make_clique(200), 200));
+  {
+    rng gen(2000);
+    setups.push_back(run_setup_cell("rr8 2000", make_random_regular(2000, 8, gen), 2000));
+  }
+  if (full) {
+    rng gen(10'000);
+    setups.push_back(
+        run_setup_cell("rr8 10000", make_random_regular(10'000, 8, gen), 10'000));
+  }
+  bool setup_ok = true;
+  for (const setup_cell& c : setups) {
+    setup_ok = setup_ok && c.close_ns_per_pair() <= kCloseNsPerPairGate;
+  }
+  const bool setup_pass = !full || setup_ok;
+
+  text_table setup_table({"setup", "n", "k", "estimate s", "close s",
+                          "close ns/pair", "pack s", "one trial s"});
+  for (const setup_cell& c : setups) {
+    setup_table.add_row({c.graph_name, format_number(c.n),
+                         format_number(static_cast<double>(c.k)),
+                         format_number(c.estimate_s, 3), format_number(c.close_s, 3),
+                         format_number(c.close_ns_per_pair(), 3),
+                         format_number(c.pack_s, 3), format_number(c.one_trial_s, 3)});
+  }
+  bench::print_table(setup_table);
+  std::printf("setup: closure <= %.0f ns per compiled pair %s: %s\n\n",
+              kCloseNsPerPairGate,
+              full ? "(enforced)" : "(informational, enforced at scale >= 1)",
+              setup_ok ? "PASS" : (full ? "FAIL" : "over"));
+
   bench::json_writer json;
   json.begin_object();
   json.key("bench").value("engine");
@@ -166,6 +263,21 @@ bool run() {
     json.end_object();
   }
   json.end_array();
+  json.key("setup").begin_array();
+  for (const setup_cell& c : setups) {
+    json.begin_object();
+    json.key("graph").value(c.graph_name);
+    json.key("n").value(static_cast<std::int64_t>(c.n));
+    json.key("k").value(static_cast<std::uint64_t>(c.k));
+    json.key("estimate_s").value(c.estimate_s);
+    json.key("close_s").value(c.close_s);
+    json.key("close_ns_per_pair").value(c.close_ns_per_pair());
+    json.key("pack_s").value(c.pack_s);
+    json.key("one_trial_s").value(c.one_trial_s);
+    json.end_object();
+  }
+  json.end_array();
+  json.key("setup_pass").value(setup_pass);
   json.end_object();
   json.write_file("BENCH_engine.json");
 
@@ -182,7 +294,11 @@ bool run() {
                  "FAIL: at least one cell broke engine/reference seeded "
                  "equivalence (eq = NO above).\n");
   }
-  return all_equal;
+  if (!setup_pass) {
+    std::fprintf(stderr, "FAIL: a closure cost more than %.0f ns per pair.\n",
+                 kCloseNsPerPairGate);
+  }
+  return all_equal && setup_pass;
 }
 
 }  // namespace

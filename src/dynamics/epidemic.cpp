@@ -48,9 +48,25 @@ class edge_id_pool {
   std::vector<std::int64_t> members_;
 };
 
-}  // namespace
+// Per-estimate storage of the broadcast kernel, allocated once and reused
+// across broadcasts: the boundary pool over all m edge ids and one informed
+// byte per node.  A completed broadcast leaves the pool empty (every edge
+// ends with both endpoints informed), so only the flags are reset.
+struct broadcast_scratch {
+  explicit broadcast_scratch(const graph& g)
+      : boundary(static_cast<std::size_t>(g.num_edges())),
+        informed(static_cast<std::size_t>(g.num_nodes()), 0) {}
 
-broadcast_result simulate_broadcast(const graph& g, node_id source, rng gen) {
+  edge_id_pool boundary;
+  std::vector<std::uint8_t> informed;
+};
+
+// Event-driven broadcast from `source`; returns its completion step.  When
+// `infection_step` is non-null, it receives the step at which each node
+// became informed (n entries, already zeroed by the caller).
+std::uint64_t run_broadcast(const graph& g, node_id source, rng& gen,
+                            broadcast_scratch& scratch,
+                            std::uint64_t* infection_step) {
   expects(source >= 0 && source < g.num_nodes(),
           "simulate_broadcast: source out of range");
   expects(g.num_edges() >= 1, "simulate_broadcast: graph must have edges");
@@ -58,12 +74,11 @@ broadcast_result simulate_broadcast(const graph& g, node_id source, rng gen) {
   const node_id n = g.num_nodes();
   const double m = static_cast<double>(g.num_edges());
 
-  broadcast_result result;
-  result.infection_step.assign(static_cast<std::size_t>(n), 0);
-  std::vector<bool> informed(static_cast<std::size_t>(n), false);
-  informed[static_cast<std::size_t>(source)] = true;
+  auto& informed = scratch.informed;
+  std::fill(informed.begin(), informed.end(), std::uint8_t{0});
+  informed[static_cast<std::size_t>(source)] = 1;
 
-  edge_id_pool boundary(static_cast<std::size_t>(g.num_edges()));
+  edge_id_pool& boundary = scratch.boundary;
   for (const std::int64_t id : g.incident_edge_ids(source)) boundary.insert(id);
 
   std::uint64_t step = 0;
@@ -76,8 +91,10 @@ broadcast_result simulate_broadcast(const graph& g, node_id source, rng gen) {
     const edge& e = g.edges()[static_cast<std::size_t>(hit)];
     const node_id fresh = informed[static_cast<std::size_t>(e.u)] ? e.v : e.u;
 
-    informed[static_cast<std::size_t>(fresh)] = true;
-    result.infection_step[static_cast<std::size_t>(fresh)] = step;
+    informed[static_cast<std::size_t>(fresh)] = 1;
+    if (infection_step != nullptr) {
+      infection_step[static_cast<std::size_t>(fresh)] = step;
+    }
     --remaining;
     // Edges from `fresh` to informed nodes leave the boundary, the rest join.
     const auto nbrs = g.neighbors(fresh);
@@ -90,7 +107,30 @@ broadcast_result simulate_broadcast(const graph& g, node_id source, rng gen) {
       }
     }
   }
-  result.completion_step = step;
+  return step;
+}
+
+// Mean completion step of `trials` broadcasts from `source`, trial t drawing
+// from gen.fork(t).
+double mean_broadcast_time(const graph& g, node_id source, int trials,
+                           const rng& gen, broadcast_scratch& scratch) {
+  double total = 0.0;
+  for (int t = 0; t < trials; ++t) {
+    rng trial_gen = gen.fork(static_cast<std::uint64_t>(t));
+    total += static_cast<double>(
+        run_broadcast(g, source, trial_gen, scratch, nullptr));
+  }
+  return total / trials;
+}
+
+}  // namespace
+
+broadcast_result simulate_broadcast(const graph& g, node_id source, rng gen) {
+  broadcast_scratch scratch(g);
+  broadcast_result result;
+  result.infection_step.assign(static_cast<std::size_t>(g.num_nodes()), 0);
+  result.completion_step =
+      run_broadcast(g, source, gen, scratch, result.infection_step.data());
   return result;
 }
 
@@ -122,12 +162,8 @@ broadcast_result simulate_broadcast_naive(const graph& g, node_id source, rng ge
 
 double estimate_broadcast_time(const graph& g, node_id source, int trials, rng gen) {
   expects(trials >= 1, "estimate_broadcast_time: need trials >= 1");
-  double total = 0.0;
-  for (int t = 0; t < trials; ++t) {
-    const auto r = simulate_broadcast(g, source, gen.fork(static_cast<std::uint64_t>(t)));
-    total += static_cast<double>(r.completion_step);
-  }
-  return total / trials;
+  broadcast_scratch scratch(g);
+  return mean_broadcast_time(g, source, trials, gen, scratch);
 }
 
 broadcast_time_estimate estimate_worst_case_broadcast_time(
@@ -160,10 +196,11 @@ broadcast_time_estimate estimate_worst_case_broadcast_time(
 
   broadcast_time_estimate est;
   est.min_value = -1.0;
+  broadcast_scratch scratch(g);
   std::uint64_t stream = 0;
   for (const node_id v : sources) {
-    const double mean =
-        estimate_broadcast_time(g, v, trials_per_source, gen.fork(stream++));
+    const double mean = mean_broadcast_time(g, v, trials_per_source,
+                                            gen.fork(stream++), scratch);
     if (mean > est.value) {
       est.value = mean;
       est.argmax = v;

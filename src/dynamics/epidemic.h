@@ -13,6 +13,14 @@
 //    changes when the scheduler hits a boundary edge, so the wait is
 //    Geometric(|∂S|/m) and we skip it in O(1).  The sampled trajectory has
 //    exactly the naive distribution.
+//
+// One event-driven kernel (epidemic.cpp) serves every broadcast here.  It
+// runs on caller-owned scratch — the boundary edge-id pool over all m edges
+// and one informed byte per node — and records per-node infection steps only
+// when asked.  `simulate_broadcast` wraps it with fresh scratch and recording
+// on; the estimators below allocate one scratch per estimate, reuse it across
+// all their broadcasts and record nothing per node, drawing exactly what a
+// loop of `simulate_broadcast` calls would, so their results are unchanged.
 #pragma once
 
 #include <cstdint>

@@ -229,13 +229,9 @@ class compiled_protocol {
   }
 
   // Read-only transition lookup; only valid on a closed table, where every
-  // pair is already compiled.  The check builds its message only on failure:
-  // packed_table calls this k² times, and a std::string per call would be
-  // the largest part of building the table.
+  // pair is already compiled.
   const entry& closed_transition(state_id a, state_id b) const {
-    if (!closed_) [[unlikely]] {
-      ensure(false, "compiled_protocol: closed_transition on an open table");
-    }
+    ensure(closed_, "compiled_protocol: closed_transition on an open table");
     return table_[static_cast<std::size_t>(a) * cap_ + b];
   }
 
@@ -277,16 +273,20 @@ class compiled_protocol {
   // and fills every (a, b) entry.  Returns false — leaving the table usable
   // but lazy — if the closure would exceed `max_states`; returns true and
   // freezes the table otherwise.
+  //
+  // Each round compiles the pairs that touch an id interned since the last
+  // round, in row-major order: rows a < done start at column done, the rest
+  // at column 0.  Every pair is visited once over the whole closure, so the
+  // cost is O(k²) transitions however many rounds the state space's depth
+  // takes (src/engine/README.md).
   bool close(std::size_t max_states) {
     std::size_t done = 0;  // all pairs over ids < done are compiled
     while (done < states_.size()) {
       if (states_.size() > max_states) return false;
       const std::size_t k = states_.size();
       for (std::size_t a = 0; a < k; ++a) {
-        for (std::size_t b = 0; b < k; ++b) {
-          if (a >= done || b >= done) {
-            transition(static_cast<state_id>(a), static_cast<state_id>(b));
-          }
+        for (std::size_t b = a < done ? done : 0; b < k; ++b) {
+          transition(static_cast<state_id>(a), static_cast<state_id>(b));
         }
       }
       done = k;

@@ -39,15 +39,8 @@ namespace pp {
 template <typename U01>
 std::uint64_t sample_silent_run(U01&& u01, std::uint64_t active,
                                 std::uint64_t total, std::uint64_t cap) {
-  // The checks build their message only on failure: expects() takes a
-  // std::string, and two heap-allocated messages per call would cost more
-  // than the inversion itself.
-  if (total < 1) [[unlikely]] {
-    expects(false, "sample_silent_run: total pair count must be >= 1");
-  }
-  if (active > total) [[unlikely]] {
-    expects(false, "sample_silent_run: active pairs cannot exceed the total");
-  }
+  expects(total >= 1, "sample_silent_run: total pair count must be >= 1");
+  expects(active <= total, "sample_silent_run: active pairs cannot exceed the total");
   if (active == 0) return cap;
   if (active == total) return 0;
   const double p = static_cast<double>(active) / static_cast<double>(total);

@@ -11,6 +11,7 @@
 #include "core/fast_election.h"
 #include "core/majority.h"
 #include "core/simulator.h"
+#include "core/star_protocol.h"
 #include "engine/block_rng.h"
 #include "graph/generators.h"
 
@@ -86,6 +87,73 @@ TEST(CompiledProtocol, InternIsStableAndDense) {
   EXPECT_EQ(compiled.num_states(), 2u);
   EXPECT_EQ(compiled.output(a), role::leader);
   EXPECT_EQ(compiled.output(b), role::follower);
+}
+
+// The closure as it was first written: every round rescans all of [0, k)²
+// and skips the pairs over ids < done.  Driven through the public
+// transition(), so it is an independent reference for close()'s visit order.
+template <typename P>
+void close_by_rescan(compiled_protocol<P>& compiled) {
+  std::size_t done = 0;
+  while (done < compiled.num_states()) {
+    const std::size_t k = compiled.num_states();
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = 0; b < k; ++b) {
+        if (a >= done || b >= done) {
+          compiled.transition(static_cast<std::uint32_t>(a),
+                              static_cast<std::uint32_t>(b));
+        }
+      }
+    }
+    done = k;
+  }
+}
+
+// close() must intern every state under the same id and fill every entry
+// exactly as the rescanning closure does.
+template <typename P>
+void expect_close_matches_rescan(const P& proto, node_id n, const std::string& label) {
+  compiled_protocol<P> closed(proto);
+  compiled_protocol<P> reference(proto);
+  for (node_id v = 0; v < n; ++v) {
+    closed.intern(proto.initial_state(v));
+    reference.intern(proto.initial_state(v));
+  }
+  ASSERT_TRUE(closed.close(kEngineClosureBudget)) << label;
+  close_by_rescan(reference);
+  ASSERT_EQ(closed.num_states(), reference.num_states()) << label;
+  const auto k = static_cast<std::uint32_t>(closed.num_states());
+  for (std::uint32_t id = 0; id < k; ++id) {
+    ASSERT_EQ(proto.encode(closed.decode(id)), proto.encode(reference.decode(id)))
+        << label << " id " << id;
+  }
+  for (std::uint32_t a = 0; a < k; ++a) {
+    for (std::uint32_t b = 0; b < k; ++b) {
+      const auto want = reference.transition(a, b);
+      const auto& got = closed.closed_transition(a, b);
+      ASSERT_TRUE(got.a2 == want.a2 && got.b2 == want.b2 && got.delta == want.delta)
+          << label << " pair (" << a << ", " << b << ")";
+    }
+  }
+}
+
+fast_params fast_params_of(int h, int level_threshold, int max_level) {
+  fast_params p;
+  p.h = h;
+  p.level_threshold = level_threshold;
+  p.max_level = max_level;
+  return p;
+}
+
+TEST(CompiledProtocol, CloseMatchesRescanReference) {
+  expect_close_matches_rescan(fast_protocol(fast_params_of(6, 16, 64)), 4,
+                              "fast h=6 L=16 aL=64");
+  expect_close_matches_rescan(fast_protocol(fast_params_of(7, 27, 108)), 4,
+                              "fast h=7 L=27 aL=108");
+  expect_close_matches_rescan(fast_protocol(fast_params_of(4, 8, 9)), 4,
+                              "fast backup regime h=4 L=8 aL=9");
+  expect_close_matches_rescan(beauquier_protocol(8), 8, "beauquier");
+  expect_close_matches_rescan(star_protocol{}, 4, "star");
 }
 
 // -------------------------------------------------- engine <-> reference

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/metrics.h"
@@ -175,6 +180,89 @@ TEST(Broadcast, DeterministicGivenSeed) {
   const auto b = simulate_broadcast(g, 7, rng(14));
   EXPECT_EQ(a.completion_step, b.completion_step);
   EXPECT_EQ(a.infection_step, b.infection_step);
+}
+
+// ------------------------------------------------------------- goldens
+//
+// The B(G) estimate sets the fast protocol's h, so its exact doubles are
+// pinned on fixed seeds, as is the per-node trajectory of
+// simulate_broadcast.  Both must survive any change to the broadcast
+// kernel's storage unchanged.  If the draws change on purpose, regenerate by
+// running
+//   build/test_epidemic --gtest_filter='BroadcastGolden.*'
+// and pasting the printed `actual` rows over the old ones.
+
+struct estimate_golden {
+  const char* family;
+  double value;
+  node_id argmax;
+  double min_value;
+};
+
+graph golden_graph(const std::string& family) {
+  if (family == "clique 200") return make_clique(200);
+  if (family == "rr8 2000") {
+    rng gen(2000);
+    return make_random_regular(2000, 8, gen);
+  }
+  if (family == "cycle 1000") return make_cycle(1000);
+  return make_star(2000);
+}
+
+TEST(BroadcastGolden, WorstCaseEstimateExactDoubles) {
+  const std::vector<estimate_golden> table{
+      {"clique 200", 1218.7, 131, 1105.7},
+      {"rr8 2000", 19387.033333333333, 0, 18458.966666666667},
+      {"cycle 1000", 502167.36666666664, 0, 497619.59999999998},
+      {"star 2000", 19080.066666666666, 1877, 15962.966666666667},
+  };
+  for (const estimate_golden& want : table) {
+    const graph g = golden_graph(want.family);
+    const auto est = estimate_worst_case_broadcast_time(g, 30, 6, rng(17));
+    EXPECT_TRUE(est.value == want.value && est.argmax == want.argmax &&
+                est.min_value == want.min_value)
+        << std::setprecision(17) << "actual {\"" << want.family << "\", "
+        << est.value << ", " << est.argmax << ", " << est.min_value << "},";
+  }
+}
+
+// FNV-1a over the infection steps, then the completion step.
+std::uint64_t trajectory_digest(const broadcast_result& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const std::uint64_t s : r.infection_step) mix(s);
+  mix(r.completion_step);
+  return h;
+}
+
+TEST(BroadcastGolden, PerSeedTrajectoryDigestRr8) {
+  struct row {
+    std::uint64_t seed;
+    std::uint64_t digest;
+    std::uint64_t completion;
+  };
+  rng gg(500);
+  const graph g = make_random_regular(500, 8, gg);
+  const std::vector<row> table{
+      {1, 0xb6803e3c66afb941ull, 3791ull},
+      {2, 0x1ab039dbb173f3b8ull, 3614ull},
+      {3, 0x2dc0009ac7137398ull, 3636ull},
+      {4, 0xe16b7c73ccf7e709ull, 3476ull},
+  };
+  for (const row& want : table) {
+    const auto r = simulate_broadcast(g, 0, rng(want.seed));
+    const std::uint64_t digest = trajectory_digest(r);
+    std::ostringstream hex;
+    hex << std::hex << digest;
+    EXPECT_TRUE(digest == want.digest && r.completion_step == want.completion)
+        << "actual {" << want.seed << ", 0x" << hex.str() << "ull, "
+        << r.completion_step << "ull},";
+  }
 }
 
 }  // namespace

@@ -8,9 +8,9 @@ silently degrades a gate or drops a result row fails in CI:
   * acceptance booleans (pass/equal/stabilized/enforced flags) must not
     degrade — a baseline `true` that turns `false` is a regression, while a
     baseline `false` turning `true` is an improvement and passes;
-  * machine-dependent measurements (wall-clock seconds, steps/sec, speedups,
-    overhead fractions, core counts, deviation z-scores, trial counts inside
-    a time budget) are skipped — those
+  * machine-dependent measurements (wall-clock seconds, steps/sec, ns per
+    unit of work, speedups, overhead fractions, core counts, deviation
+    z-scores, trial counts inside a time budget) are skipped — those
     are gated by the benches' own acceptance booleans, not by this tool;
   * step statistics (trajectory-dependent counts and means: different libm
     builds resample trajectories) must stay within a relative tolerance,
@@ -44,12 +44,18 @@ import sys
 SKIP_SUBSTRINGS = (
     "seconds",
     "per_sec",
+    "ns_per",
     "speedup",
     "overhead",
     "frac",
     "sigmas",
     "cores",
 )
+
+# Leaf-key suffixes that name a wall-clock unit (BENCH_engine.json's setup
+# rows: estimate_s, close_s, ...), skipped like SKIP_SUBSTRINGS.  A suffix,
+# not a substring, so that keys such as "steps" and "states" still compare.
+SKIP_SUFFIXES = ("_s",)
 
 # Whole leaf keys that are machine-dependent although their names look like
 # counts (skipped like SKIP_SUBSTRINGS, but matched exactly so that real
@@ -82,7 +88,8 @@ def leaf_key(path):
 
 def classify(path):
     key = leaf_key(path)
-    if key in SKIP_KEYS or any(s in key for s in SKIP_SUBSTRINGS):
+    if (key in SKIP_KEYS or any(s in key for s in SKIP_SUBSTRINGS)
+            or key.endswith(SKIP_SUFFIXES)):
         return "skip"
     if any(s in key for s in TOLERANT_SUBSTRINGS):
         return "tolerant"
